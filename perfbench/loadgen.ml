@@ -163,17 +163,13 @@ let open_loop st (ops : Inputs.op array) (idx : int array) =
         match ops.(i).kind with
         | Write | Compact -> 0
         | Read ->
-          if Array.length st.conns = 1 then 0
-          else if Queue.length st.conns.(0).pending < Queue.length st.conns.(1).pending then 0
-          else 1
+          if Queue.length st.conns.(0).pending < Queue.length st.conns.(1).pending then 0 else 1
       in
       send st ci i;
       incr next
     done;
     if !next < n then poll st (ops.(idx.(!next)).at -. (now () -. st.t0))
   done
-
-type phase_times = { mutable warm_s : float; mutable open_s : float; mutable closed_s : float }
 
 let run ~sock ~(ops : Inputs.op array) ~closed_seconds ~out_dir =
   Bpq_util.Sock.ignore_sigpipe ();
@@ -184,18 +180,16 @@ let run ~sock ~(ops : Inputs.op array) ~closed_seconds ~out_dir =
   let st = { conns = [| connect sock; connect sock |]; lines; recs; seq = 0; t0 = now (); on_reply = ignore } in
   let phase p = List.filter (fun i -> ops.(i).phase = p) (List.init (Array.length ops) Fun.id) in
   let by_conn l = Array.init 2 (fun ci -> List.filter (fun i -> ops.(i).conn = ci) l) in
-  let times = { warm_s = 0.0; open_s = 0.0; closed_s = 0.0 } in
-  let timed f =
+  (* Each phase's times count from its own start. *)
+  let phase_run f =
     st.t0 <- now ();
-    f ();
-    now () -. st.t0
+    f ()
   in
-  times.warm_s <- timed (fun () -> closed_loop st (by_conn (phase "warm")) infinity);
-  times.open_s <-
-    timed (fun () ->
-        open_loop st ops (Array.of_list (phase "open"));
-        wait_all st 120.0);
-  times.closed_s <- timed (fun () -> closed_loop st (by_conn (phase "closed")) closed_seconds);
+  phase_run (fun () -> closed_loop st (by_conn (phase "warm")) infinity);
+  phase_run (fun () ->
+      open_loop st ops (Array.of_list (phase "open"));
+      wait_all st 120.0);
+  phase_run (fun () -> closed_loop st (by_conn (phase "closed")) closed_seconds);
   Array.iter (fun c -> Unix.close c.fd) st.conns;
   (* Results, written after the timed phases. *)
   Out_channel.with_open_text (Filename.concat out_dir "results.tsv") (fun oc ->
@@ -229,5 +223,4 @@ let run ~sock ~(ops : Inputs.op array) ~closed_seconds ~out_dir =
       Array.iteri
         (fun i (r : record) ->
           if r.send_seq > 0 then Printf.fprintf oc "%d\t%s\n" i r.reply)
-        recs);
-  times
+        recs)

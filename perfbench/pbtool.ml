@@ -40,8 +40,7 @@ let () =
   | "catalogue" -> print_string (Inputs.catalogue ())
   | "load" ->
     let ops = Inputs.read_stream (Filename.concat !dir "stream.jsonl") in
-    let t = Loadgen.run ~sock:!socket ~ops ~closed_seconds:!closed_seconds ~out_dir:!dir in
-    Printf.printf "{\"warm_s\":%.6f,\"open_s\":%.6f,\"closed_s\":%.6f}\n" t.warm_s t.open_s t.closed_s
+    Loadgen.run ~sock:!socket ~ops ~closed_seconds:!closed_seconds ~out_dir:!dir
   | "oracle" ->
     let mutate =
       if not !mutate then None
