@@ -39,13 +39,13 @@ let spec = function
     { scale = 0.05; open_rate = 600.0; open_frac = 0.6; write_every_s = 0.0;
       write_batch = 0; compact_every = 0; closed_write_every = 0; trace_reads = 2000 }
   | Cold_distinct ->
-    { scale = 0.05; open_rate = 60.0; open_frac = 0.6; write_every_s = 0.0;
+    { scale = 0.05; open_rate = 60.0; open_frac = 0.7; write_every_s = 0.0;
       write_batch = 0; compact_every = 0; closed_write_every = 0; trace_reads = 400 }
   | Write_mix ->
-    { scale = 0.05; open_rate = 50.0; open_frac = 0.7; write_every_s = 0.1;
-      write_batch = 8; compact_every = 22; closed_write_every = 8; trace_reads = 400 }
+    { scale = 0.02; open_rate = 50.0; open_frac = 0.7; write_every_s = 0.1;
+      write_batch = 8; compact_every = 50; closed_write_every = 8; trace_reads = 400 }
   | Sharded_pushdown ->
-    { scale = 0.05; open_rate = 30.0; open_frac = 0.6; write_every_s = 0.0;
+    { scale = 0.05; open_rate = 45.0; open_frac = 0.7; write_every_s = 0.0;
       write_batch = 0; compact_every = 0; closed_write_every = 0; trace_reads = 300 }
 
 (* The data: the IMDb-like generator with the paper's schema A0 plus
@@ -135,7 +135,7 @@ let instantiate_shape rng tbl vals s =
 (* The shape catalogue (perfbench/shapes.txt), built once from a graph
    of a fixed seed and committed, so every run seed draws the same
    shapes and the stream's cost profile does not drift with the seed.
-   A candidate joins if its constants admit at least 20000 distinct
+   A candidate joins if its constants admit at least 5000 distinct
    instantiations and 30 sampled instantiations all stay light:
    realised counts on the in-memory schema, never timings.  Unlucky
    instantiations of star-shaped skeletons reach millions of matches;
@@ -279,29 +279,21 @@ let write_ops rng tbl g n_nodes k =
 let write_req ops = Json.Obj [ ("op", Json.Str "write"); ("ops", Json.Arr (List.map Wal.op_to_json ops)) ]
 let compact_req = Json.Obj [ ("op", Json.Str "compact") ]
 
-(* The measurement is split across [instances] server processes, each
-   set up from scratch and given an equal share of the run; metrics are
-   medians over instances, so one process that lands in a slow state
-   (thread placement, GC pacing) cannot swing the run. *)
-let instances = 5
-
-(* Generous closed-loop budgets per instance: the phase ends at its
-   deadline, or earlier if a list runs out. *)
+(* Generous closed-loop budgets: the phase ends at its deadline, or
+   earlier if a list runs out. *)
 let closed_budget = function
-  | Hot_repeat -> 20_000
-  | Cold_distinct | Write_mix -> 1_000
-  | Sharded_pushdown -> 600
+  | Hot_repeat -> 100_000
+  | Cold_distinct | Write_mix -> 5_000
+  | Sharded_pushdown -> 3_000
 
 let warm_count = function Hot_repeat -> 0 | Cold_distinct | Write_mix -> 40 | Sharded_pushdown -> 30
 
-(* One request list per instance, each with a warm-up, an open-loop and
-   a closed-loop phase; [seconds] is the whole run's measured time.
-   Reads never repeat across instances on the distinct workloads. *)
-let streams w ~seed ~seconds ~shapes tbl g =
+(* The run's request list: a warm-up, an open-loop and a closed-loop
+   phase; [seconds] is the measured time of the last two. *)
+let stream w ~seed ~seconds ~shapes tbl g =
   let sp = spec w in
   let rng = Prng.create ((seed * 7919) + 17) in
-  let share = seconds /. float_of_int instances in
-  let open_s = share *. sp.open_frac in
+  let open_s = seconds *. sp.open_frac in
   let hot, next_read =
     match w with
     | Hot_repeat -> hot_reads rng tbl
@@ -311,60 +303,55 @@ let streams w ~seed ~seconds ~shapes tbl g =
     let shape, req = next_read () in
     { phase; at; conn; kind = Read; shape; req }
   in
-  let instance () =
-    (* Warm-up: hot-repeat sends each hot query four times, so both pool
-       domains' result shards hold it; the distinct workloads send fresh
-       requests so plans and pages are warm before timing. *)
-    let warm =
-      match w with
-      | Hot_repeat ->
-        List.concat
-          (List.init 4 (fun r ->
-               Array.to_list
-                 (Array.map
-                    (fun req -> { phase = "warm"; at = 0.0; conn = r mod 2; kind = Read; shape = 0; req })
-                    hot)))
-      | _ -> List.init (warm_count w) (fun i -> read "warm" (i mod 2))
-    in
-    (* Every instance starts from the base snapshot. *)
-    let n_nodes = ref (Digraph.n_nodes g) in
-    (* Open loop: Poisson reads at the fixed rate; periodic writes, so
-       every instance rolls the same number of generations. *)
-    let reads =
-      let rec go t acc =
-        let t = t +. (-.log (1.0 -. Prng.float rng 1.0) /. sp.open_rate) in
-        if t >= open_s then List.rev acc else go t (read "open" ~at:t (-1) :: acc)
-      in
-      go 0.0 []
-    in
-    let writes =
-      if sp.write_every_s <= 0.0 then []
-      else
-        List.concat
-          (List.init (int_of_float (open_s /. sp.write_every_s)) (fun i ->
-               let at = (sp.write_every_s *. float_of_int i) +. (sp.write_every_s /. 2.0) in
-               let w =
-                 { phase = "open"; at; conn = 0; kind = Write; shape = -1;
-                   req = write_req (write_ops rng tbl g n_nodes sp.write_batch) }
-               in
-               if (i + 1) mod sp.compact_every = 0 then
-                 [ w; { w with at = at +. 1e-6; kind = Compact; req = compact_req } ]
-               else [ w ]))
-    in
-    let open_ops = List.stable_sort (fun a b -> compare a.at b.at) (reads @ writes) in
-    (* Closed loop: each connection runs its own list; writes only on
-       connection 0, so their application order is their send order. *)
-    let closed =
-      List.init (closed_budget w) (fun i ->
-          let conn = i mod 2 in
-          if sp.closed_write_every > 0 && conn = 0 && i / 2 mod sp.closed_write_every = 0 then
-            { phase = "closed"; at = 0.0; conn; kind = Write; shape = -1;
-              req = write_req (write_ops rng tbl g n_nodes sp.write_batch) }
-          else read "closed" conn)
-    in
-    warm @ open_ops @ closed
+  (* Warm-up: hot-repeat sends each hot query four times, so both pool
+     domains' result shards hold it; the distinct workloads send fresh
+     requests so plans and pages are warm before timing. *)
+  let warm =
+    match w with
+    | Hot_repeat ->
+      List.concat
+        (List.init 4 (fun r ->
+             Array.to_list
+               (Array.map
+                  (fun req -> { phase = "warm"; at = 0.0; conn = r mod 2; kind = Read; shape = 0; req })
+                  hot)))
+    | _ -> List.init (warm_count w) (fun i -> read "warm" (i mod 2))
   in
-  List.init instances (fun _ -> instance ())
+  let n_nodes = ref (Digraph.n_nodes g) in
+  (* Open loop: Poisson reads at the fixed rate, and periodic writes. *)
+  let reads =
+    let rec go t acc =
+      let t = t +. (-.log (1.0 -. Prng.float rng 1.0) /. sp.open_rate) in
+      if t >= open_s then List.rev acc else go t (read "open" ~at:t (-1) :: acc)
+    in
+    go 0.0 []
+  in
+  let writes =
+    if sp.write_every_s <= 0.0 then []
+    else
+      List.concat
+        (List.init (int_of_float (open_s /. sp.write_every_s)) (fun i ->
+             let at = (sp.write_every_s *. float_of_int i) +. (sp.write_every_s /. 2.0) in
+             let w =
+               { phase = "open"; at; conn = 0; kind = Write; shape = -1;
+                 req = write_req (write_ops rng tbl g n_nodes sp.write_batch) }
+             in
+             if (i + 1) mod sp.compact_every = 0 then
+               [ w; { w with at = at +. 1e-6; kind = Compact; req = compact_req } ]
+             else [ w ]))
+  in
+  let open_ops = List.stable_sort (fun a b -> compare a.at b.at) (reads @ writes) in
+  (* Closed loop: each connection runs its own list; writes only on
+     connection 0, so their application order is their send order. *)
+  let closed =
+    List.init (closed_budget w) (fun i ->
+        let conn = i mod 2 in
+        if sp.closed_write_every > 0 && conn = 0 && i / 2 mod sp.closed_write_every = 0 then
+          { phase = "closed"; at = 0.0; conn; kind = Write; shape = -1;
+            req = write_req (write_ops rng tbl g n_nodes sp.write_batch) }
+        else read "closed" conn)
+  in
+  warm @ open_ops @ closed
 
 let op_to_json o =
   Json.Obj
@@ -418,29 +405,25 @@ let write_stream path ops =
   Out_channel.with_open_text path (fun oc ->
       List.iter (fun o -> output_string oc (Json.to_string (op_to_json o)); output_char oc '\n') ops)
 
-(* Write graph, constraints and one stream per instance (D/iK/stream.jsonl)
-   into [dir]; returns a summary. *)
-let generate w ~seed ~seconds ~shapes_path dir =
+(* The committed shape catalogue, relative to the checkout's root. *)
+let shapes_path = "perfbench/shapes.txt"
+
+(* Write graph, constraints and the request stream (D/stream.jsonl) into
+   [dir]; returns a summary. *)
+let generate w ~seed ~seconds dir =
   let sp = spec w in
   let tbl, g, constrs = dataset ~seed ~scale:sp.scale in
   let shapes = Array.of_list (load_shapes shapes_path tbl constrs) in
   Graph_io.save g (Filename.concat dir "graph.txt");
   Constr_io.save tbl constrs (Filename.concat dir "constraints.txt");
-  let all = streams w ~seed ~seconds ~shapes tbl g in
-  List.iteri
-    (fun k ops ->
-      let d = Filename.concat dir (Printf.sprintf "i%d" k) in
-      Sys.mkdir d 0o755;
-      write_stream (Filename.concat d "stream.jsonl") ops)
-    all;
-  let share = seconds /. float_of_int instances in
-  let repeat_frac, n_shapes = repeat_profile (List.concat all) in
+  let ops = stream w ~seed ~seconds ~shapes tbl g in
+  write_stream (Filename.concat dir "stream.jsonl") ops;
+  let repeat_frac, n_shapes = repeat_profile ops in
   Json.Obj
     [ ("nodes", Json.Int (Digraph.n_nodes g));
       ("edges", Json.Int (Digraph.n_edges g));
-      ("instances", Json.Int instances);
-      ("open_s", Json.Float (share *. sp.open_frac));
-      ("closed_s", Json.Float (share *. (1.0 -. sp.open_frac)));
+      ("open_s", Json.Float (seconds *. sp.open_frac));
+      ("closed_s", Json.Float (seconds *. (1.0 -. sp.open_frac)));
       ("repeat_frac", Json.Float repeat_frac);
       ("shapes", Json.Int n_shapes);
       ("trace_reads", Json.Int sp.trace_reads) ]

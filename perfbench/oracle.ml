@@ -1,17 +1,18 @@
 (* The correctness oracle, run after the timed phases.
 
-   Every read answer is compared byte-for-byte (the encoded "matches"
-   array and its count) with an in-process reference: the plan the
-   server would generate for the request, evaluated by
-   Bounded_eval.run on a mem store opened from the same snapshot, with no
-   cache and no pool.
+   Every read answer (the reply's "matches" array and its count,
+   re-encoded) is compared byte-for-byte with an in-process reference:
+   the plan the server would generate for the request, evaluated by
+   Bounded_eval.run on a mem store opened from the same snapshot, with
+   no cache and no pool.
 
    With writes, the reference replays the acknowledged write batches
-   into an overlay over that store, in their send order (all writes travel on one connection, so
-   that is the order the server applied them).  A read may observe any
-   state between the last write acknowledged before it was sent and the
-   last write sent before its reply arrived; it passes if it equals the
-   reference answer at one of them. *)
+   into an overlay over that store, in their send order (all writes
+   travel on one connection, so that is the order the server applied
+   them).  A read may observe any state between the last write
+   acknowledged before it was sent and the last write sent before its
+   reply arrived; it passes if it equals the reference answer at one of
+   them. *)
 
 open Bpq_util
 open Bpq_core
@@ -70,24 +71,15 @@ let encode_matches ms =
           (List.map (fun m -> Jsonx.Arr (List.map (fun v -> Jsonx.Int v) (Array.to_list m))) ms)))
     (string_of_int (List.length ms))
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec matches i j = j = n || (s.[i + j] = sub.[j] && matches i (j + 1)) in
-  let rec at i = i + n <= m && (matches i 0 || at (i + 1)) in
-  n > 0 && at 0
-
-(* Whether a served reply carries exactly the expected answer: a byte
-   match on the raw line, or, should the server lay out its fields
-   differently, on the parsed fields re-encoded. *)
-let same_answer reply expected =
-  contains ~sub:expected reply
-  ||
+(* The answer a served reply carries: its "matches" and "n" fields,
+   re-encoded as [answer_bytes] lays them out. *)
+let served_answer reply =
   match Jsonx.parse reply with
   | Ok j ->
     (match (Jsonx.member "matches" j, Jsonx.member "n" j) with
-     | Some m, Some n -> answer_bytes (Jsonx.to_string m) (Jsonx.to_string n) = expected
-     | _ -> false)
-  | Error _ -> false
+     | Some m, Some n -> Some (answer_bytes (Jsonx.to_string m) (Jsonx.to_string n))
+     | _ -> None)
+  | Error _ -> None
 
 (* [with_costs]: the server plans with the snapshot's statistics except
    on the sharded backend, whose store carries none; the reference must
@@ -114,7 +106,7 @@ type verdict = {
 let pattern_text (o : Inputs.op) =
   match Jsonx.member "pattern" o.req with Some (Jsonx.Str s) -> s | _ -> ""
 
-(* The reference sources of one instance: the base generation, then the
+(* The reference sources of the run: the base generation, then the
    overlay after each acknowledged write, in application order. *)
 let reference_states store ops writes =
   let base = Store.source store in
@@ -135,72 +127,62 @@ let reference_states store ops writes =
   Array.iteri (fun k w -> overlays.(k) <- apply (if k = 0 then ov0 else overlays.(k - 1)) w) writes;
   Array.append [| base |] (Array.map (fun ov -> Overlay.wrap ov base) overlays)
 
-(* Check the instances in [dirs] against the snapshot every instance
-   started from.  Reference answers are evaluated on two domains; the
-   sources are read-only, so evaluation order is free. *)
-let check ~dirs ~snapshot ~with_costs ?mutate () =
+(* Check the run in [dir] against the snapshot the server started
+   from.  Reference answers are evaluated on two domains; the sources
+   are read-only, so evaluation order is free. *)
+let check ~dir ~snapshot ~with_costs ?mutate () =
   let pool = Pool.create 2 in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let store = Store.open_snapshot ~backend:Store.Mem snapshot in
   Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
   let eval = reference_eval ~with_costs store in
-  let checked = ref 0 and mismatches = ref 0 and failed = ref 0 and attempted = ref 0 in
-  let examples = ref [] in
-  List.iter
-    (fun dir ->
-      let ops = Inputs.read_stream (Filename.concat dir "stream.jsonl") in
-      let rows = read_results dir in
-      let replies = read_replies dir (Array.length ops) in
-      Option.iter (fun f -> f replies) mutate;
-      let writes =
-        List.filter (fun r -> r.kind = "write" && r.status = "ok") rows
-        |> List.sort (fun a b -> compare a.send_seq b.send_seq)
-        |> Array.of_list
-      in
-      let states = reference_states store ops writes in
-      let count_before seq f =
-        Array.fold_left (fun acc w -> if f w < seq then acc + 1 else acc) 0 writes
-      in
-      let reads =
-        List.filter (fun r -> r.status = "ok" && r.kind = "read") rows
-        |> List.map (fun r ->
-               ( r,
-                 pattern_text ops.(r.idx),
-                 count_before r.send_seq (fun w -> w.recv_seq),
-                 count_before r.recv_seq (fun w -> w.send_seq) ))
-        |> Array.of_list
-      in
-      (* Each distinct (state, request) at its earliest admissible state
-         first, in parallel; later states only for reads that raced a
-         write and did not match. *)
-      let distinct = Hashtbl.create 1024 in
-      Array.iter
-        (fun (_, text, lo, _) ->
-          if not (Hashtbl.mem distinct (lo, text)) then
-            Hashtbl.replace distinct (lo, text) (Hashtbl.length distinct))
-        reads;
-      let keys = Array.make (Hashtbl.length distinct) (0, "") in
-      Hashtbl.iter (fun k i -> keys.(i) <- k) distinct;
-      let answers = Pool.map_array pool (fun (lo, text) -> eval states.(lo) text) keys in
-      let first = Array.map (fun (_, text, lo, _) -> answers.(Hashtbl.find distinct (lo, text))) reads in
-      Array.iteri
-        (fun i (r, text, lo, hi) ->
-          incr checked;
-          let reply = replies.(r.idx) in
-          let rec any k = k <= hi && (same_answer reply (eval states.(k) text) || any (k + 1)) in
-          if not (same_answer reply first.(i) || any (lo + 1)) then begin
-            incr mismatches;
-            if List.length !examples < 3 then
-              examples :=
-                Printf.sprintf "%s request %d (states %d..%d): %s" dir r.idx lo hi text
-                :: !examples
-          end)
-        reads;
-      failed := !failed + List.length (List.filter (fun r -> r.status <> "ok") rows);
-      attempted := !attempted + List.length rows)
-    dirs;
-  { checked = !checked; mismatches = !mismatches; failed = !failed; attempted = !attempted;
-    examples = List.rev !examples }
+  let ops = Inputs.read_stream (Filename.concat dir "stream.jsonl") in
+  let rows = read_results dir in
+  let replies = read_replies dir (Array.length ops) in
+  Option.iter (fun f -> f replies) mutate;
+  let writes =
+    List.filter (fun r -> r.kind = "write" && r.status = "ok") rows
+    |> List.sort (fun a b -> compare a.send_seq b.send_seq)
+    |> Array.of_list
+  in
+  let states = reference_states store ops writes in
+  let count_before seq f = Array.fold_left (fun acc w -> if f w < seq then acc + 1 else acc) 0 writes in
+  let reads =
+    List.filter (fun r -> r.status = "ok" && r.kind = "read") rows
+    |> List.map (fun r ->
+           ( r,
+             pattern_text ops.(r.idx),
+             count_before r.send_seq (fun w -> w.recv_seq),
+             count_before r.recv_seq (fun w -> w.send_seq) ))
+    |> Array.of_list
+  in
+  (* Each distinct (state, request) at its earliest admissible state
+     first, in parallel; later states only for reads that raced a write
+     and did not match. *)
+  let distinct = Hashtbl.create 1024 in
+  Array.iter
+    (fun (_, text, lo, _) ->
+      if not (Hashtbl.mem distinct (lo, text)) then
+        Hashtbl.replace distinct (lo, text) (Hashtbl.length distinct))
+    reads;
+  let keys = Array.make (Hashtbl.length distinct) (0, "") in
+  Hashtbl.iter (fun k i -> keys.(i) <- k) distinct;
+  let answers = Pool.map_array pool (fun (lo, text) -> eval states.(lo) text) keys in
+  let got = Pool.map_array pool (fun (r, _, _, _) -> served_answer replies.(r.idx)) reads in
+  let mismatches = ref 0 and examples = ref [] in
+  Array.iteri
+    (fun i (r, text, lo, hi) ->
+      let same expected = got.(i) = Some expected in
+      let rec any k = k <= hi && (same (eval states.(k) text) || any (k + 1)) in
+      if not (same answers.(Hashtbl.find distinct (lo, text)) || any (lo + 1)) then begin
+        incr mismatches;
+        if List.length !examples < 3 then
+          examples := Printf.sprintf "request %d (states %d..%d): %s" r.idx lo hi text :: !examples
+      end)
+    reads;
+  { checked = Array.length reads; mismatches = !mismatches;
+    failed = List.length (List.filter (fun r -> r.status <> "ok") rows);
+    attempted = List.length rows; examples = List.rev !examples }
 
 let verdict_json v =
   Jsonx.Obj

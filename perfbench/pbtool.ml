@@ -2,13 +2,13 @@
 
      pbtool catalogue
          print the shape catalogue (the committed perfbench/shapes.txt)
-     pbtool gen    --workload W --seed N --seconds S --dir D [--shapes FILE]
-         write D/graph.txt, D/constraints.txt and one D/iK/stream.jsonl
-         per server instance; prints a JSON summary
-     pbtool load   --socket PATH --dir D/iK --closed-seconds S
-         replay D/iK/stream.jsonl against a running `bpq serve`, writing
-         D/iK/results.tsv and D/iK/replies.txt
-     pbtool oracle --dir D[,D...] --snapshot FILE [--no-costs] [--mutate]
+     pbtool gen    --workload W --seed N --seconds S --dir D
+         write D/graph.txt, D/constraints.txt and D/stream.jsonl; prints
+         a JSON summary
+     pbtool load   --socket PATH --dir D --closed-seconds S
+         replay D/stream.jsonl against a running `bpq serve`, writing
+         D/results.tsv and D/replies.txt
+     pbtool oracle --dir D --snapshot FILE [--no-costs] [--mutate]
          check every answer against an in-process reference; prints a
          JSON verdict.  --mutate corrupts one served answer first (the
          self-test that the oracle rejects a wrong answer). *)
@@ -17,7 +17,7 @@ let () =
   let cmd = if Array.length Sys.argv > 1 then Sys.argv.(1) else "" in
   let workload = ref "" and seed = ref 1 and seconds = ref 10.0 and dir = ref "." in
   let socket = ref "" and closed_seconds = ref 4.0 and snapshot = ref "" in
-  let no_costs = ref false and mutate = ref false and shapes = ref "perfbench/shapes.txt" in
+  let no_costs = ref false and mutate = ref false in
   let specs =
     [ ("--workload", Arg.Set_string workload, "W");
       ("--seed", Arg.Set_int seed, "N");
@@ -27,8 +27,7 @@ let () =
       ("--closed-seconds", Arg.Set_float closed_seconds, "S");
       ("--snapshot", Arg.Set_string snapshot, "FILE");
       ("--no-costs", Arg.Set no_costs, "");
-      ("--mutate", Arg.Set mutate, "");
-      ("--shapes", Arg.Set_string shapes, "FILE") ]
+      ("--mutate", Arg.Set mutate, "") ]
   in
   Arg.parse_argv ~current:(ref 1) Sys.argv specs (fun a -> raise (Arg.Bad ("unexpected " ^ a))) "pbtool";
   match cmd with
@@ -36,7 +35,7 @@ let () =
     let w = Inputs.workload_of_string !workload in
     print_endline
       (Bpq_util.Jsonx.to_string
-         (Inputs.generate w ~seed:!seed ~seconds:!seconds ~shapes_path:!shapes !dir))
+         (Inputs.generate w ~seed:!seed ~seconds:!seconds !dir))
   | "catalogue" -> print_string (Inputs.catalogue ())
   | "load" ->
     let ops = Inputs.read_stream (Filename.concat !dir "stream.jsonl") in
@@ -68,8 +67,7 @@ let () =
             in
             go 0)
     in
-    let dirs = String.split_on_char ',' !dir in
-    let v = Oracle.check ~dirs ~snapshot:!snapshot ~with_costs:(not !no_costs) ?mutate () in
+    let v = Oracle.check ~dir:!dir ~snapshot:!snapshot ~with_costs:(not !no_costs) ?mutate () in
     print_endline (Bpq_util.Jsonx.to_string (Oracle.verdict_json v))
   | _ ->
     prerr_endline "usage: pbtool (gen|load|oracle) ...";

@@ -3,8 +3,9 @@
      pbtrace --dir D --snapshot FILE --backend mem|paged|sharded
              [--page-cache MB] [--wal] --bpq EXE --reads N
 
-   Replays the first N reads of D/i0/stream.jsonl (with the writes and
-   compactions between them) sequentially through an in-process
+   --page-cache is required with --backend paged.  Replays the first N
+   reads of D/stream.jsonl (with the writes and compactions between
+   them) sequentially through an in-process
    Server.create over a Store of the same backend, with a sequential
    pool so that every count repeats exactly, and prints one JSON object
    of per-layer metrics.  Three passes, each over a fresh store:
@@ -493,7 +494,7 @@ let write_spans path t0 =
         (List.rev seam.spans))
 
 let () =
-  let dir = ref "." and snapshot = ref "" and backend = ref "mem" and page_cache = ref 16 in
+  let dir = ref "." and snapshot = ref "" and backend = ref "mem" and page_cache = ref 0 in
   let with_wal = ref false and bpq = ref "" and reads = ref 100 in
   Arg.parse
     [ ("--dir", Arg.Set_string dir, "D");
@@ -505,6 +506,10 @@ let () =
       ("--reads", Arg.Set_int reads, "N") ]
     (fun a -> raise (Arg.Bad ("unexpected " ^ a)))
     "pbtrace";
+  if !backend = "paged" && !page_cache <= 0 then begin
+    prerr_endline "pbtrace: --backend paged needs --page-cache MB";
+    exit 2
+  end;
   Sock.ignore_sigpipe ();
   let work = Filename.concat !dir "trace" in
   Sys.mkdir work 0o755;
@@ -514,7 +519,7 @@ let () =
   in
   if env.backend = "sharded" then
     ignore (Shard.partition ~shards:2 ~snapshot:env.pristine ~dir:(Filename.concat work "shards"));
-  let ops = prefix (Inputs.read_stream (Filename.concat !dir "i0/stream.jsonl")) !reads in
+  let ops = prefix (Inputs.read_stream (Filename.concat !dir "stream.jsonl")) !reads in
   let start = now () in
   let st, t, handle_traced, replies, result_hit = traced_pass env ops in
   close_state st;

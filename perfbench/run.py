@@ -26,17 +26,36 @@ import sys
 import time
 
 WORKLOADS = {
-    # backend flags for `bpq serve`, and whether the store is sharded
+    # backend flags for `bpq serve`, and whether the store is sharded or
+    # under a WAL
     "hot-repeat": {"serve": ["--backend", "mem"]},
     "cold-distinct": {"serve": ["--backend", "paged", "--page-cache", "1"]},
     "write-mix": {"serve": ["--backend", "mem"], "wal": True},
     "sharded-pushdown": {"serve": ["--backend", "sharded"], "shards": 2},
 }
 
-SETUP_REPS = 3  # instances whose set-up is timed; setup_s is the median
+SETUP_REPS = 3  # set-ups timed from scratch; setup_s is their median
 SHARDS = 2
 BUILD_TIMEOUT = 850
 STEP_TIMEOUT = 120
+
+
+def placement():
+    """(generator CPUs, server CPUs); None: no binding.
+
+    The load generator runs alone on the first CPU and the server, with
+    its pool domains and shard workers, on the others.  Sharing, the two
+    would preempt each other, and every hand-off inside the server (pool
+    domains, shard worker rounds) could wait for an idle CPU to wake."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) >= 2:
+        return {cpus[0]}, set(cpus[1:])
+    return None, None
+
+
+def on_cpus(cpus):
+    """A preexec_fn binding the child to [cpus] (None: no binding)."""
+    return None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
 
 
 def log(msg):
@@ -47,10 +66,10 @@ class BenchError(Exception):
     pass
 
 
-def run(cmd, timeout=STEP_TIMEOUT, env=None, out=None):
+def run(cmd, timeout=STEP_TIMEOUT, env=None, out=None, cpus=None):
     """Run a child to completion; raise BenchError on failure."""
     p = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                       timeout=timeout, env=env, text=True)
+                       timeout=timeout, env=env, text=True, preexec_fn=on_cpus(cpus))
     if out is not None:
         with open(out, "a") as f:
             f.write(p.stdout + p.stderr)
@@ -96,14 +115,14 @@ def rpc(sock_path, req, timeout=60.0):
 class Server:
     """A `bpq serve` child, started and waited for until it answers."""
 
-    def __init__(self, exe, graph, flags, sock_path, logf):
+    def __init__(self, exe, graph, flags, sock_path, logf, cpus=None):
         self.sock = sock_path
         if os.path.exists(sock_path):
             os.remove(sock_path)
         self.logf = open(logf, "a")
         self.proc = subprocess.Popen(
             [exe, "serve", "-g", graph, "--listen", "unix:" + sock_path] + flags,
-            stdout=self.logf, stderr=self.logf)
+            stdout=self.logf, stderr=self.logf, preexec_fn=on_cpus(cpus))
 
     def wait_ready(self, limit=60.0):
         stop = time.monotonic() + limit
@@ -158,39 +177,47 @@ class Server:
         self.logf.close()
 
 
-def freeze(exes, spec, work, k):
-    """`bpq freeze` (+ `bpq shard`); returns the path to serve, timings."""
-    snap = os.path.join(work, "snap%d.bin" % k)
+def set_up(exes, spec, work, cpus):
+    """`bpq freeze` (+ `bpq shard`), then `bpq serve` until its first
+    reply.  Returns the server, the store files it serves and the times;
+    the pristine snapshot is copied to ref.bin outside the timing."""
+    snap = os.path.join(work, "snap.bin")
     t0 = time.monotonic()
     run([exes["bpq.exe"], "freeze", "-g", os.path.join(work, "graph.txt"),
          "-a", os.path.join(work, "constraints.txt"), "-o", snap])
-    t1 = time.monotonic()
-    if k == 0:
-        # The reference generation, for the oracle and for the instances
-        # that only restart the server; copied outside the timing.
-        shutil.copyfile(snap, os.path.join(work, "ref.bin"))
-    graph, t2 = snap, time.monotonic()
+    times = {"freeze": time.monotonic() - t0, "shard": 0.0}
+    shutil.copyfile(snap, os.path.join(work, "ref.bin"))
+    graph = snap
     if spec.get("shards"):
-        graph = os.path.join(work, "shards%d" % k)
+        graph = os.path.join(work, "shards")
+        t0 = time.monotonic()
         run([exes["bpq.exe"], "shard", "--shards", str(SHARDS), snap, graph])
+        times["shard"] = time.monotonic() - t0
         os.remove(snap)
-    return graph, {"freeze": t1 - t0, "shard": time.monotonic() - t2 if spec.get("shards") else 0.0}
-
-
-def start_server(exes, spec, work, k, graph):
-    """`bpq serve` until its first reply; returns the server and the time."""
     flags = list(spec["serve"])
+    files = [graph]
     if spec.get("wal"):
-        flags += ["--wal", os.path.join(work, "wal%d.log" % k)]
+        files.append(os.path.join(work, "wal.log"))
+        flags += ["--wal", files[-1]]
     t0 = time.monotonic()
-    srv = Server(exes["bpq.exe"], graph, flags, os.path.join(work, "s%d.sock" % k),
-                 os.path.join(work, "serve.log"))
+    srv = Server(exes["bpq.exe"], graph, flags, os.path.join(work, "s.sock"),
+                 os.path.join(work, "serve.log"), cpus=cpus)
     try:
         srv.wait_ready()
     except BaseException:
         srv.stop()
         raise
-    return srv, time.monotonic() - t0
+    times["open"] = time.monotonic() - t0
+    times["total"] = times["freeze"] + times["shard"] + times["open"]
+    return srv, files, times
+
+
+def remove(files):
+    for f in files:
+        if os.path.isdir(f):
+            shutil.rmtree(f)
+        elif os.path.exists(f):
+            os.remove(f)
 
 
 def disk_mb(paths):
@@ -204,9 +231,9 @@ def disk_mb(paths):
     return total / (1024.0 * 1024.0)
 
 
-def read_results(inst_dir):
+def read_results(work):
     rows = []
-    with open(os.path.join(inst_dir, "results.tsv")) as f:
+    with open(os.path.join(work, "results.tsv")) as f:
         for line in f:
             x = line.rstrip("\n").split("\t")
             rows.append({"idx": int(x[0]), "phase": x[1], "kind": x[2],
@@ -251,45 +278,32 @@ def main():
         exes = build(args.trace == 1, work)
         gen = json.loads(run([exes["pbtool.exe"], "gen", "--workload", args.workload,
                               "--seed", str(args.seed), "--seconds", str(args.seconds),
-                              "--dir", work, "--shapes", "perfbench/shapes.txt"]))
-        inst_dirs = [os.path.join(work, "i%d" % k) for k in range(gen["instances"])]
-        instances = []
-        for k, d in enumerate(inst_dirs):
-            # The first SETUP_REPS instances are set up from scratch and
-            # time it; the others restart the server on a fresh copy of
-            # the same generation (or the same shard files).
-            if k < SETUP_REPS:
-                graph, times = freeze(exes, spec, work, k)
-            elif spec.get("shards"):
-                graph, times = os.path.join(work, "shards0"), None
-            else:
-                graph, times = os.path.join(work, "snap%d.bin" % k), None
-                shutil.copyfile(os.path.join(work, "ref.bin"), graph)
-            srv, open_s = start_server(exes, spec, work, k, graph)
-            if times is not None:
-                times["open"] = open_s
-                times["total"] = times["freeze"] + times["shard"] + open_s
-            try:
-                run([exes["pbtool.exe"], "load", "--socket", srv.sock, "--dir", d,
-                     "--closed-seconds", str(gen["closed_s"])], timeout=STEP_TIMEOUT)
-                rss = srv.peak_rss_mb()
-                store_files = [graph] + (
-                    [os.path.join(work, "wal%d.log" % k)] if spec.get("wal") else [])
-                disk = disk_mb(store_files)
-                stats = rpc(srv.sock, {"op": "stats"})
-            finally:
+                              "--dir", work]))
+        # Set up SETUP_REPS times from scratch; the last server serves
+        # the measured run.
+        gen_cpus, serve_cpus = placement()
+        setups = []
+        for k in range(SETUP_REPS):
+            srv, files, times = set_up(exes, spec, work, serve_cpus)
+            setups.append(times)
+            if k < SETUP_REPS - 1:
                 srv.stop()
-            if graph != os.path.join(work, "shards0"):
-                for f in store_files:
-                    shutil.rmtree(f) if os.path.isdir(f) else os.remove(f)
-            instances.append({"setup": times, "rss": rss, "disk": disk, "stats": stats,
-                              "rows": read_results(d)})
-        oracle = json.loads(run([exes["pbtool.exe"], "oracle", "--dir", ",".join(inst_dirs),
+                remove(files)
+        try:
+            run([exes["pbtool.exe"], "load", "--socket", srv.sock, "--dir", work,
+                 "--closed-seconds", str(gen["closed_s"])],
+                timeout=STEP_TIMEOUT, cpus=gen_cpus)
+            served = {"rss": srv.peak_rss_mb(), "disk": disk_mb(files),
+                      "stats": rpc(srv.sock, {"op": "stats"})}
+        finally:
+            srv.stop()
+        rows = read_results(work)
+        oracle = json.loads(run([exes["pbtool.exe"], "oracle", "--dir", work,
                                  "--snapshot", os.path.join(work, "ref.bin")]
                                 + (["--no-costs"] if spec.get("shards") else [])))
-        report = summarise(args, gen, instances, oracle)
+        report = summarise(args, gen, setups, served, rows, oracle)
         if args.trace == 1:
-            metrics = traced(exes, spec, work, gen, instances, oracle)
+            metrics = traced(exes, spec, work, gen, setups, served, rows, oracle)
         else:
             metrics = report["e2e"]
         for line in report["notes"]:
@@ -314,56 +328,43 @@ def main():
             shutil.rmtree(work, ignore_errors=True)
 
 
-def instance_metrics(rows):
-    """One instance's open-loop latencies, closed-loop counts, lateness."""
+def open_reads(rows):
+    return [latency_ms(r, True) for r in rows if r["phase"] == "open" and r["kind"] == "read"]
+
+
+def lateness_ms(rows):
+    return [(r["sent"] - r["at"]) * 1000.0 for r in rows if r["phase"] == "open"]
+
+
+def summarise(args, gen, setups, served, rows, oracle):
+    """End-to-end metrics, notes and validity."""
+    late = lateness_ms(rows)
+    # The generator itself fell behind its schedule: the typical send is
+    # late, or the schedule overran.  Host jitter shows only in the
+    # tail, and lands in the latency it delays.
+    valid = not late or (quantile(late, 0.5) <= 1.0 and late[-1] <= 100.0)
+    why = "" if valid else "generator lateness p50 %.3f ms, last send %.1f ms late" % (
+        quantile(late, 0.5), late[-1])
+    lat = open_reads(rows)
     closed = [r for r in rows if r["phase"] == "closed"]
-    late = [(r["sent"] - r["at"]) * 1000.0 for r in rows if r["phase"] == "open"]
-    return {
-        "lat": [latency_ms(r, True) for r in rows if r["phase"] == "open" and r["kind"] == "read"],
-        "closed_ok": sum(1 for r in closed if r["status"] == "ok"),
-        "closed_span": max((r["recv"] for r in closed), default=float("nan")),
-        "late_p50": quantile(late, 0.50),
-        "late_p99": quantile(late, 0.99),
-        "late_last": late[-1] if late else 0.0,
-    }
-
-
-def summarise(args, gen, instances, oracle):
-    """End-to-end metrics, notes and validity.  Latency percentiles pool
-    the open-loop reads of every instance; capacity is all closed-loop
-    completions over all closed-loop time; set-up, memory and disk are
-    medians over instances."""
-    per = [instance_metrics(i["rows"]) for i in instances]
-    valid, why = True, ""
-    for k, m in enumerate(per):
-        # The generator itself fell behind its schedule: the typical send
-        # is late, or the schedule overran.  Host jitter shows only in
-        # the tail, and lands in the latency it delays.
-        if m["late_p50"] > 1.0 or m["late_last"] > 100.0:
-            valid = False
-            why = "instance %d: generator lateness p50 %.3f ms, last send %.1f ms late" % (
-                k, m["late_p50"], m["late_last"])
-    lat = [x for m in per for x in m["lat"]]
+    closed_ok = sum(1 for r in closed if r["status"] == "ok")
+    closed_span = max((r["recv"] for r in closed), default=float("nan"))
     e2e = {
-        "setup_s": (statistics.median(i["setup"]["total"] for i in instances if i["setup"]), "s"),
-        "read_p50_ms": (quantile(lat, 0.50), "ms"),
-        "capacity_ops_s": (sum(m["closed_ok"] for m in per) / sum(m["closed_span"] for m in per),
-                           "ops/s"),
-        "server_rss_mb": (statistics.median(i["rss"] for i in instances), "MB"),
-        "store_disk_mb": (statistics.median(i["disk"] for i in instances), "MB"),
+        "setup_s": (statistics.median(t["total"] for t in setups), "s"),
+        "capacity_ops_s": (closed_ok / closed_span, "ops/s"),
+        "server_rss_mb": (served["rss"], "MB"),
+        "store_disk_mb": (served["disk"], "MB"),
     }
-    notes = ["%s seed %d: %d nodes, %d edges; %d ops attempted, %d failed, %d wrong; "
-             "%d open-loop reads" % (
-                 args.workload, args.seed, gen["nodes"], gen["edges"], oracle["attempted"],
-                 oracle["failed"], oracle["mismatches"], len(lat))]
-    for k, (i, m) in enumerate(zip(instances, per)):
-        notes.append(
-            "instance %d: setup %s; open loop %d reads p50 %.3f ms p90 %.3f ms p99 %.3f ms, "
-            "lateness p50 %.3f ms p99 %.3f ms; closed loop %.1f ops/s; rss %.1f MB"
-            % (k, "%.3fs" % i["setup"]["total"] if i["setup"] else "-", len(m["lat"]),
-               quantile(m["lat"], 0.5), quantile(m["lat"], 0.9), quantile(m["lat"], 0.99),
-               m["late_p50"], m["late_p99"],
-               m["closed_ok"] / m["closed_span"], i["rss"]))
+    notes = [
+        "%s seed %d: %d nodes, %d edges; %d ops attempted, %d failed, %d wrong" % (
+            args.workload, args.seed, gen["nodes"], gen["edges"], oracle["attempted"],
+            oracle["failed"], oracle["mismatches"]),
+        "set-ups %s s; open loop %d reads p50 %.3f ms p90 %.3f ms p99 %.3f ms, "
+        "lateness p50 %.3f ms p99 %.3f ms; closed loop %.1f ops/s; rss %.1f MB" % (
+            " ".join("%.3f" % t["total"] for t in setups), len(lat), quantile(lat, 0.5),
+            quantile(lat, 0.9), quantile(lat, 0.99), quantile(late, 0.5), quantile(late, 0.99),
+            closed_ok / closed_span, served["rss"]),
+    ]
     return {
         "e2e": {k: {"value": v, "unit": u} for k, (v, u) in e2e.items()},
         "valid": valid,
@@ -397,11 +398,11 @@ SERVED_UNITS = {
     "server.transport_us": "us", "server.followers_frac": "ratio", "server.refused": "count",
     "write.p50_ms": "ms", "write.p99_ms": "ms", "compact.op_s": "s", "error_frac": "ratio",
     "gen.lateness_p99_ms": "ms", "stream.repeat_frac": "ratio", "stream.shapes": "count",
-    "read.p90_ms": "ms", "read.p99_ms": "ms",
+    "read.p50_ms": "ms", "read.p90_ms": "ms", "read.p99_ms": "ms",
 }
 
 
-def traced(exes, spec, work, gen, instances, oracle):
+def traced(exes, spec, work, gen, setups, served, rows, oracle):
     """Per-layer metrics: the traced in-process replay plus the layer
     figures the served run already measured."""
     backend = spec["serve"][spec["serve"].index("--backend") + 1]
@@ -412,29 +413,29 @@ def traced(exes, spec, work, gen, instances, oracle):
     if spec.get("wal"):
         cmd += ["--wal"]
     layers = json.loads(run(cmd, timeout=STEP_TIMEOUT))
-    rows = [r for i in instances for r in i["rows"]]
     med = statistics.median
     transport = [(r["recv"] - r["sent"]) * 1e6 - r["elapsed_ms"] * 1e3
-                 for r in rows if r["phase"] == "closed" and r["kind"] == "read"
+                 for r in rows if r["phase"] == "open" and r["kind"] == "read"
                  and r["status"] == "ok"]
-    reads = [latency_ms(r, True) for r in rows if r["phase"] == "open" and r["kind"] == "read"]
+    reads = open_reads(rows)
     writes = [latency_ms(r, True) for r in rows if r["phase"] == "open" and r["kind"] == "write"]
     compacts = [latency_ms(r, False) / 1000.0 for r in rows if r["kind"] == "compact"]
-    served = sum(i["stats"].get("served", 0) for i in instances)
-    followers = sum(i["stats"].get("coalescing", {}).get("followers", 0) for i in instances)
-    late = [(r["sent"] - r["at"]) * 1000.0 for r in rows if r["phase"] == "open"]
+    stats = served["stats"]
+    n_served = stats.get("served", 0)
     layers.update({
-        "setup.freeze_s": med(i["setup"]["freeze"] for i in instances if i["setup"]),
-        "setup.shard_s": med(i["setup"]["shard"] for i in instances if i["setup"]),
-        "setup.open_s": med(i["setup"]["open"] for i in instances if i["setup"]),
+        "setup.freeze_s": med(t["freeze"] for t in setups),
+        "setup.shard_s": med(t["shard"] for t in setups),
+        "setup.open_s": med(t["open"] for t in setups),
         "server.transport_us": med(transport) if transport else 0.0,
-        "server.followers_frac": followers / served if served else 0.0,
+        "server.followers_frac": (stats.get("coalescing", {}).get("followers", 0) / n_served
+                                  if n_served else 0.0),
         "server.refused": sum(1 for r in rows if r["status"] == "overloaded"),
         "write.p50_ms": quantile(writes, 0.50) if writes else 0.0,
         "write.p99_ms": quantile(writes, 0.99) if writes else 0.0,
         "compact.op_s": med(compacts) if compacts else 0.0,
         "error_frac": (oracle["failed"] + oracle["mismatches"]) / oracle["attempted"],
-        "gen.lateness_p99_ms": quantile(late, 0.99),
+        "gen.lateness_p99_ms": quantile(lateness_ms(rows), 0.99),
+        "read.p50_ms": quantile(reads, 0.50),
         "read.p90_ms": quantile(reads, 0.90),
         "read.p99_ms": quantile(reads, 0.99),
         "stream.repeat_frac": gen["repeat_frac"],

@@ -44,12 +44,11 @@ def check(name, ok, detail=""):
 def gen(workload, seed, d, seconds=6):
     os.makedirs(d)
     return json.loads(bench.run([PBTOOL, "gen", "--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(seconds), "--dir", d,
-                                 "--shapes", "perfbench/shapes.txt"]))
+                                 "--seconds", str(seconds), "--dir", d]))
 
 
-def streams(d):
-    return sorted(os.path.join(d, i, "stream.jsonl") for i in os.listdir(d) if i.startswith("i"))
+def stream(d):
+    return os.path.join(d, "stream.jsonl")
 
 
 def test_determinism():
@@ -58,10 +57,10 @@ def test_determinism():
         gen(w, 7, a)
         gen(w, 7, b)
         gen(w, 8, c)
-        same = all(filecmp.cmp(x, y, shallow=False) for x, y in zip(streams(a), streams(b)))
+        same = filecmp.cmp(stream(a), stream(b), shallow=False)
         same = same and filecmp.cmp(os.path.join(a, "graph.txt"), os.path.join(b, "graph.txt"),
                                     shallow=False)
-        differ = not any(filecmp.cmp(x, y, shallow=False) for x, y in zip(streams(a), streams(c)))
+        differ = not filecmp.cmp(stream(a), stream(c), shallow=False)
         check("%s: same seed, byte-identical stream" % w, same)
         check("%s: other seed, different stream" % w, differ)
 
@@ -70,15 +69,14 @@ def test_no_repeats():
     for w in ("cold-distinct", "sharded-pushdown"):
         d = os.path.join(WORK, "%s-a" % w)
         seen, dups, reads = set(), 0, 0
-        for path in streams(d):
-            with open(path) as f:
-                for line in f:
-                    op = json.loads(line)
-                    if op["kind"] == "read":
-                        reads += 1
-                        key = json.dumps(op["req"], sort_keys=True)
-                        dups += key in seen
-                        seen.add(key)
+        with open(stream(d)) as f:
+            for line in f:
+                op = json.loads(line)
+                if op["kind"] == "read":
+                    reads += 1
+                    key = json.dumps(op["req"], sort_keys=True)
+                    dups += key in seen
+                    seen.add(key)
         check("%s: no exact query repeats in %d reads" % (w, reads), dups == 0 and reads > 0,
               "%d repeats" % dups)
 
@@ -89,18 +87,17 @@ def test_oracle():
     snap = os.path.join(d, "ref.bin")
     bench.run([BPQ, "freeze", "-g", os.path.join(d, "graph.txt"),
                "-a", os.path.join(d, "constraints.txt"), "-o", snap])
-    inst = os.path.join(d, "i0")
     live = os.path.join(d, "live.bin")
     shutil.copyfile(snap, live)
     srv = bench.Server(BPQ, live, ["--wal", os.path.join(d, "live.wal")],
                        os.path.join(d, "s.sock"), os.path.join(d, "serve.log"))
     try:
         srv.wait_ready()
-        bench.run([PBTOOL, "load", "--socket", srv.sock, "--dir", inst, "--closed-seconds", "0.5"])
+        bench.run([PBTOOL, "load", "--socket", srv.sock, "--dir", d, "--closed-seconds", "0.5"])
     finally:
         srv.stop()
-    good = json.loads(bench.run([PBTOOL, "oracle", "--dir", inst, "--snapshot", snap]))
-    bad = json.loads(bench.run([PBTOOL, "oracle", "--dir", inst, "--snapshot", snap, "--mutate"]))
+    good = json.loads(bench.run([PBTOOL, "oracle", "--dir", d, "--snapshot", snap]))
+    bad = json.loads(bench.run([PBTOOL, "oracle", "--dir", d, "--snapshot", snap, "--mutate"]))
     check("oracle accepts a served write-mix run (%d reads)" % good["checked"],
           good["mismatches"] == 0 and good["checked"] > 0, json.dumps(good))
     check("oracle rejects a mutated answer", bad["mismatches"] == 1, json.dumps(bad))
