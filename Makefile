@@ -78,13 +78,14 @@ bench-distributed:
 
 # Serving experiment: closed-loop clients against the serve daemon over
 # a unix socket.  jq gates the invariants: every response byte-identical
-# to one-shot in-process evaluation, positive throughput, and a present
+# to one-shot in-process evaluation, positive throughput, a present
 # (non-null) p99 — the latter doubles as the NaN-in-JSON regression
 # guard, since a NaN percentile would either break parsing or surface
-# as null and fail the gate.
+# as null and fail the gate — and warm result-tier hits, so the
+# identity check covers replies served from the hit path.
 bench-serve:
 	BENCH_FAST=1 dune exec bench/main.exe -- serve --json _bench
-	jq -e '.serve.identical and .serve.throughput_qps > 0 and (.serve.p99_ms != null)' _bench/BENCH_serve.json >/dev/null
+	jq -e '.serve.identical and .serve.throughput_qps > 0 and (.serve.p99_ms != null) and .serve.result_hits_warm > 0' _bench/BENCH_serve.json >/dev/null
 	@echo "bench-serve: _bench/BENCH_serve.json OK"
 
 # Open-loop serving experiment: Poisson arrivals at a sweep of target

@@ -26,8 +26,9 @@ let run ?(pool = Pool.sequential) ?intra ?cache ?timeout ?limit (src : Exec.sour
   Pool.map_list pool
     (fun it ->
       (* The deadline is private to this item: deadlines are mutable and
-         must never cross domains.  The cache is shared — it shards itself
-         per domain, so workers never contend (see Qcache).  [intra], when
+         must never cross domains.  The cache is shared — its plan and
+         fetch tiers shard per domain, so workers contend only on the
+         result table's brief probe/insert (see Qcache).  [intra], when
          given, additionally parallelises each item's own execution and
          match search; answers stay byte-identical, so the two levels of
          parallelism compose freely (nested submissions drain through the

@@ -85,8 +85,8 @@ val eval :
 (** Evaluate every item through its bounded plan ([timeout] is a
     per-item cut-off in seconds; [limit] caps subgraph match counts).
     [cache] routes evaluation through {!Qcache.eval_plan} — result and
-    fetch tiers — and is safe to share across the pool's workers (it
-    shards itself per domain); answers stay identical to the uncached,
+    fetch tiers — and is safe to share across the pool's workers (plan
+    and fetch tiers per domain, one result table under a mutex); answers stay identical to the uncached,
     sequential run.  [intra] additionally parallelises each item's own
     plan execution and match search ({!Exec} / {!Bpq_matcher.Vf2});
     passing the same pool for both levels is safe — nested submissions

@@ -35,27 +35,40 @@ end
 type result_entry = {
   answer : answer;
   gens : (Label.t * int) list;  (* per used label, generation at insert *)
+  mutable bytes : string option;  (* the caller's encoding, set on the first hit *)
 }
+
+type hit = result_entry
+
+type miss = {
+  key : string;
+  stamp : int;  (* the stamp [key] was built from *)
+  limit : int option;
+  stale : bool;  (* an entry was found but invalidated *)
+}
+
+type lookup =
+  | Hit of hit
+  | Miss of miss
 
 type shard = {
   plans_exact : Plan.t option Fifo_map.t;
   plans_canon : Plan.t option Fifo_map.t;  (* plans in canonical numbering *)
-  results : result_entry Fifo_map.t;
   fetch : Fetch_cache.t;  (* the static-source tier (data_version 0) *)
   mutable vfetch : (int * Fetch_cache.t) list;  (* per data_version, newest first *)
   mutable plan_hits : int;
   mutable plan_misses : int;
-  mutable result_hits : int;
-  mutable result_misses : int;
-  mutable result_stale : int;
 }
 
 type t = {
   plan_capacity : int;
   fetch_capacity : int;
-  result_capacity : int;
   mutex : Mutex.t;
   mutable shards : (int * shard) list;  (* keyed by Domain.id *)
+  results : result_entry Fifo_map.t;  (* shared by all domains, under mutex *)
+  mutable result_hits : int;  (* the result counters are under mutex too *)
+  mutable result_misses : int;
+  mutable result_stale : int;
   mutable label_gens : int array;  (* grown on demand; see note_delta *)
   mutable gens_bumped : int;  (* total per-label generation bumps *)
 }
@@ -65,9 +78,12 @@ let create ?(plan_capacity = 4096) ?(fetch_capacity = 65536) ?(result_capacity =
     invalid_arg "Qcache.create: negative capacity";
   { plan_capacity;
     fetch_capacity;
-    result_capacity;
     mutex = Mutex.create ();
     shards = [];
+    results = Fifo_map.create result_capacity;
+    result_hits = 0;
+    result_misses = 0;
+    result_stale = 0;
     label_gens = Array.make 0 0;
     gens_bumped = 0 }
 
@@ -84,14 +100,10 @@ let of_megabytes mb =
 let new_shard t =
   { plans_exact = Fifo_map.create t.plan_capacity;
     plans_canon = Fifo_map.create t.plan_capacity;
-    results = Fifo_map.create t.result_capacity;
     fetch = Fetch_cache.create ~capacity:t.fetch_capacity ();
     vfetch = [];
     plan_hits = 0;
-    plan_misses = 0;
-    result_hits = 0;
-    result_misses = 0;
-    result_stale = 0 }
+    plan_misses = 0 }
 
 (* One shard per domain, created under the mutex on first use and touched
    only by its owner afterwards.  Pool workers are long-lived, so the
@@ -227,12 +239,9 @@ let gen_of t l = if l < Array.length t.label_gens then t.label_gens.(l) else 0
 (* Exact key including predicates and the limit: the answer depends on
    both.  Predicates marshal structurally, so equal queries built
    independently (e.g. repeated template instantiations) share keys. *)
-let result_key stamp (plan : Plan.t) limit =
-  let q = plan.pattern in
+let result_key stamp semantics q limit =
   let nodes = Array.init (Pattern.n_nodes q) (fun u -> (Pattern.label q u, Pattern.pred q u)) in
-  Marshal.to_string
-    ((stamp : int), sem_tag plan.semantics, nodes, Pattern.edges q, limit)
-    []
+  Marshal.to_string ((stamp : int), sem_tag semantics, nodes, Pattern.edges q, limit) []
 
 (* Identity of an in-flight evaluation for single-flight coalescing on
    the serve path: schema stamp, semantics, canonical structural
@@ -250,39 +259,69 @@ let flight_key ?limit semantics ~stamp q =
     ((stamp : int), sem_tag semantics, fp, nodes, Pattern.edges q, limit)
     []
 
-let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) =
-  let s = shard_for t in
-  let key = result_key src.Exec.stamp plan limit in
-  (* Generations come from the data itself when the source carries them
-     (a write-through overlay): an evaluation against an older serving
-     slot then tags its answer with the generations it actually
-     observed, never with newer ones another thread published meanwhile
-     — so a hit that validates against the *current* slot's generations
-     is guaranteed computed on equivalent data.  Static sources fall
-     back to the cache-global counters fed by [note_delta]. *)
-  let gen =
-    match src.Exec.label_gen with Some f -> f | None -> gen_of t
-  in
-  let fresh_gens () =
-    List.map (fun l -> (l, gen l)) (Pattern.labels_used plan.pattern)
-  in
-  let evaluate () =
-    let cache = fetch_tier_for t src in
-    let answer = Bounded_eval.run ?pool ?deadline ?limit ~cache src plan in
-    Fifo_map.add s.results key { answer; gens = fresh_gens () };
-    answer
-  in
-  match Fifo_map.find s.results key with
-  | Some entry when List.for_all (fun (l, g) -> gen l = g) entry.gens ->
-    s.result_hits <- s.result_hits + 1;
-    entry.answer
-  | Some _ ->
-    s.result_stale <- s.result_stale + 1;
-    Fifo_map.remove s.results key;
-    evaluate ()
+(* Generations come from the data itself when the source carries them
+   (a write-through overlay): an evaluation against an older serving
+   slot then tags its answer with the generations it actually observed,
+   never with newer ones another thread published meanwhile — so a hit
+   that validates against the *current* slot's generations is
+   guaranteed computed on equivalent data.  Static sources fall back to
+   the cache-global counters fed by [note_delta]. *)
+let gen_for t (src : Exec.source) =
+  match src.Exec.label_gen with Some f -> f | None -> gen_of t
+
+(* The table is one for all domains, so an answer computed on any pool
+   worker serves every later caller, including the serve daemon's
+   connection threads.  Each operation holds the mutex for a hash probe
+   or insert only; evaluation runs outside it.  A hit is counted here; a
+   miss or stale entry is counted by [eval_miss], so that a lookup
+   nobody evaluates (a coalesced follower, an unbounded pattern) counts
+   nothing, as before the probe moved ahead of planning. *)
+let probe t ?limit semantics (src : Exec.source) q =
+  let stamp = src.Exec.stamp in
+  let key = result_key stamp semantics q limit in
+  let gen = gen_for t src in
+  Mutex.protect t.mutex (fun () ->
+      match Fifo_map.find t.results key with
+      | Some entry when List.for_all (fun (l, g) -> gen l = g) entry.gens ->
+        t.result_hits <- t.result_hits + 1;
+        Hit entry
+      | Some _ ->
+        Fifo_map.remove t.results key;
+        Miss { key; stamp; limit; stale = true }
+      | None -> Miss { key; stamp; limit; stale = false })
+
+let hit_answer (h : hit) = h.answer
+
+(* Racing first hits may both encode; they store equal bytes. *)
+let hit_bytes (h : hit) encode =
+  match h.bytes with
+  | Some b -> b
   | None ->
-    s.result_misses <- s.result_misses + 1;
-    evaluate ()
+    let b = encode h.answer in
+    h.bytes <- Some b;
+    b
+
+let eval_miss t ?pool ?deadline (m : miss) (src : Exec.source) (plan : Plan.t) =
+  Mutex.protect t.mutex (fun () ->
+      if m.stale then t.result_stale <- t.result_stale + 1
+      else t.result_misses <- t.result_misses + 1);
+  let key =
+    if src.Exec.stamp = m.stamp then m.key
+    else result_key src.Exec.stamp plan.semantics plan.pattern m.limit
+  in
+  let answer =
+    Bounded_eval.run ?pool ?deadline ?limit:m.limit ~cache:(fetch_tier_for t src) src plan
+  in
+  let gen = gen_for t src in
+  let gens = List.map (fun l -> (l, gen l)) (Pattern.labels_used plan.pattern) in
+  Mutex.protect t.mutex (fun () ->
+      Fifo_map.add t.results key { answer; gens; bytes = None });
+  answer
+
+let eval_plan_with t ?pool ?deadline ?limit (src : Exec.source) (plan : Plan.t) =
+  match probe t ?limit plan.semantics src plan.pattern with
+  | Hit h -> h.answer
+  | Miss m -> eval_miss t ?pool ?deadline m src plan
 
 let eval_plan t ?pool ?deadline ?limit schema plan =
   eval_plan_with t ?pool ?deadline ?limit (Exec.source_of_schema schema) plan
@@ -350,7 +389,10 @@ type stats = {
 let stats t =
   Mutex.lock t.mutex;
   let shards = List.map snd t.shards in
-  let gens_bumped = t.gens_bumped in
+  let gens_bumped = t.gens_bumped
+  and result_hits = t.result_hits
+  and result_misses = t.result_misses
+  and result_stale = t.result_stale in
   Mutex.unlock t.mutex;
   List.fold_left
     (fun acc s ->
@@ -373,18 +415,15 @@ let stats t =
         fetch_hits = acc.fetch_hits + f.hits;
         fetch_misses = acc.fetch_misses + f.misses;
         fetch_evictions = acc.fetch_evictions + f.evictions;
-        fetch_bypasses = acc.fetch_bypasses + f.bypasses;
-        result_hits = acc.result_hits + s.result_hits;
-        result_misses = acc.result_misses + s.result_misses;
-        result_stale = acc.result_stale + s.result_stale })
+        fetch_bypasses = acc.fetch_bypasses + f.bypasses })
     { plan_hits = 0;
       plan_misses = 0;
       fetch_hits = 0;
       fetch_misses = 0;
       fetch_evictions = 0;
       fetch_bypasses = 0;
-      result_hits = 0;
-      result_misses = 0;
-      result_stale = 0;
+      result_hits;
+      result_misses;
+      result_stale;
       gens_bumped }
     shards

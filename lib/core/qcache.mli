@@ -33,13 +33,18 @@
     different order than a cold run would produce.
 
     {b Domain safety.}  One [Qcache.t] may be used from every worker of a
-    {!Bpq_util.Pool}: internally it keeps one shard (plan map, fetch LRU,
-    result map, counters) {e per domain}, created on first use under a
-    mutex and touched only by its owning domain afterwards — no locks on
-    the hot path, no cross-domain mutation.  {!stats} merges the shards'
-    counters.  {!note_delta} mutates shared invalidation state and must
-    not run concurrently with evaluations (apply deltas between serving
-    batches, as {!Incremental} does).
+    {!Bpq_util.Pool} and from any systhread.  The plan and fetch tiers
+    keep one shard (plan maps, fetch LRU, plan counters) {e per domain},
+    created on first use under a mutex and touched only by its owning
+    domain afterwards — no locks on their hot path.  The result tier is
+    one table shared by all domains under a mutex, held for a hash probe
+    or an insert and never across an evaluation, so an answer computed
+    on one domain serves every caller on every other (the serve daemon
+    probes it from its connection threads, {!probe}).  {!stats} merges
+    the shards' counters with the shared ones.  {!note_delta} mutates
+    shared invalidation state and must not run concurrently with
+    evaluations (apply deltas between serving batches, as
+    {!Incremental} does).
 
     {b Lineage.}  A cache follows one schema lineage: a {!Bpq_access.Schema.build}
     result and its [apply_delta] descendants.  Evaluating a superseded
@@ -55,8 +60,9 @@ type t
 
 val create :
   ?plan_capacity:int -> ?fetch_capacity:int -> ?result_capacity:int -> unit -> t
-(** Capacities are entry counts {e per domain shard} (defaults 4096 /
-    65536 / 1024).  Capacity 0 disables the corresponding tier. *)
+(** Capacities are entry counts (defaults 4096 / 65536 / 1024): the plan
+    and fetch capacities hold per domain shard, the result capacity for
+    the one shared table.  Capacity 0 disables the corresponding tier. *)
 
 val of_megabytes : int -> t
 (** Size the tiers from a memory budget, the CLI's [--cache MB] knob: the
@@ -92,6 +98,48 @@ val eval_plan :
     ({!Bounded_eval}); answers — and hence cached entries — are
     byte-identical at every pool size, so warm hits serve runs with any
     [BPQ_JOBS] setting. *)
+
+(** {1 Result tier, probe and evaluate separately}
+
+    {!eval_plan_with} is {!probe} followed, on a miss, by {!eval_miss}.
+    The serve daemon calls the two apart: it probes on the connection
+    thread before any planning, answers a hit there, and hands only a
+    miss to the pool. *)
+
+type hit
+(** A live result-tier entry. *)
+
+type miss
+(** What a missed probe learnt: the key to store under and whether an
+    entry was found stale. *)
+
+type lookup =
+  | Hit of hit
+  | Miss of miss
+
+val probe :
+  t -> ?limit:int -> Actualized.semantics -> Exec.source -> Pattern.t -> lookup
+(** Look the exact query up in the result tier, validating the entry's
+    label generations against the source's (a stale entry is dropped).
+    Counts [result_hits] on a hit; a miss counts nothing until
+    {!eval_miss} runs, so a lookup that is never evaluated — a
+    coalesced follower, an unbounded pattern — leaves [result_misses]
+    and [result_stale] as they were.  Needs no plan. *)
+
+val hit_answer : hit -> answer
+
+val hit_bytes : hit -> (answer -> string) -> string
+(** [hit_bytes h encode] is [encode (hit_answer h)], computed on the
+    first call for this entry and memoised on it.  Entries that are
+    never hit are never encoded. *)
+
+val eval_miss :
+  t -> ?pool:Pool.t -> ?deadline:Timer.deadline -> miss -> Exec.source -> Plan.t -> answer
+(** Evaluate a missed query (with the probe's limit) through the fetch
+    tier and store the answer.  Counts [result_misses], or
+    [result_stale] when the probe found a stale entry.  The plan must be
+    the probed pattern's; the source may be a later slot of the same
+    query's server (the key is rebuilt if its stamp differs). *)
 
 val eval :
   t ->
@@ -193,4 +241,5 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Counters summed over all domain shards. *)
+(** The shared result counters plus the others summed over all domain
+    shards. *)

@@ -12,10 +12,15 @@
      additionally parallelise intra-query exactly as in `bpq run`.
 
    The split is what keeps {!Qcache} safe without a global lock: the
-   cache shards itself per domain, and routing every query onto pool
-   worker domains keeps each shard single-owner.  (With a sequential
-   pool there are no worker domains, so queries run inline under one
-   server-wide mutex instead — same answers, no parallelism.)
+   plan and fetch tiers shard themselves per domain, and routing every
+   evaluation onto pool worker domains keeps each shard single-owner.
+   (With a sequential pool there are no worker domains, so evaluations
+   run inline under one server-wide mutex instead — same answers, no
+   parallelism.)  The result tier is one table under its own mutex, so
+   the connection thread probes it before anything else: a repeated
+   query is answered there, from the answer bytes memoised on the
+   entry, without planning, coalescing or a pool hand-off.  Each
+   connection writes its replies through one reusable buffer.
 
    Admission control.  At most [max_inflight] queries may be queued or
    running; a request beyond that is rejected immediately with a typed
@@ -263,22 +268,75 @@ let error_response ?id code msg =
     (with_id id
        [ ("ok", Json.Bool false); ("error", Json.Str code); ("message", Json.Str msg) ])
 
-let matches_json ms =
-  Json.Arr (List.map (fun m -> Json.Arr (List.map (fun v -> Json.Int v) (Array.to_list m))) ms)
+let refusal_message t code =
+  if code = "overloaded" then
+    Printf.sprintf "query queue full (max_inflight %d)" t.max_inflight
+  else "server is shutting down"
 
-let relation_json sim =
-  Json.Arr
-    (Array.to_list
-       (Array.map
-          (fun vs -> Json.Arr (List.map (fun v -> Json.Int v) (Array.to_list vs)))
-          sim))
+let add_row buf (a : int array) =
+  Buffer.add_char buf '[';
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Json.add_int buf a.(i)
+  done;
+  Buffer.add_char buf ']'
 
-let answer_fields = function
+(* The answer part of a query reply, ["matches":[...],"n":N] or
+   ["relation":[...],"n":N], written straight into [buf] — a [Json.t]
+   tree would cost a node and a list cell per node id.  [limit] keeps
+   the first [limit] matches, exactly like the one-shot CLI (the result
+   tier caches full answers); a simulation relation is never cut. *)
+let add_answer ?limit buf = function
   | Bounded_eval.Matches ms ->
-    [ ("matches", matches_json ms); ("n", Json.Int (List.length ms)) ]
+    let cap = Option.value limit ~default:max_int in
+    Buffer.add_string buf "\"matches\":[";
+    let rec rows n = function
+      | m :: rest when n < cap ->
+        if n > 0 then Buffer.add_char buf ',';
+        add_row buf m;
+        rows (n + 1) rest
+      | _ -> n
+    in
+    let n = rows 0 ms in
+    Buffer.add_string buf "],\"n\":";
+    Json.add_int buf n
   | Bounded_eval.Relation sim ->
-    [ ("relation", relation_json sim);
-      ("n", Json.Int (Array.fold_left (fun acc vs -> acc + Array.length vs) 0 sim)) ]
+    Buffer.add_string buf "\"relation\":[";
+    Array.iteri
+      (fun i vs ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_row buf vs)
+      sim;
+    Buffer.add_string buf "],\"n\":";
+    Json.add_int buf (Array.fold_left (fun acc vs -> acc + Array.length vs) 0 sim)
+
+let answer_bytes answer =
+  let buf = Buffer.create 1024 in
+  add_answer buf answer;
+  Buffer.contents buf
+
+(* A successful query's reply, the bytes [Json.emit] prints for
+   {[id], ok, semantics, <answer part>, elapsed_ms, stamp}. *)
+let add_reply_with buf ?id sem ~elapsed ~stamp add_part =
+  Buffer.add_char buf '{';
+  Option.iter
+    (fun id ->
+      Buffer.add_string buf "\"id\":";
+      Json.emit buf id;
+      Buffer.add_char buf ',')
+    id;
+  Buffer.add_string buf "\"ok\":true,\"semantics\":\"";
+  Buffer.add_string buf (sem_name sem);
+  Buffer.add_string buf "\",";
+  add_part buf;
+  Buffer.add_string buf ",\"elapsed_ms\":";
+  Json.emit buf (Json.Float (elapsed *. 1000.0));
+  Buffer.add_string buf ",\"stamp\":";
+  Json.add_int buf stamp;
+  Buffer.add_char buf '}'
+
+let add_reply buf ?id ?limit sem ~elapsed ~stamp answer =
+  add_reply_with buf ?id sem ~elapsed ~stamp (fun buf -> add_answer ?limit buf answer)
 
 (* Parse the request's pattern against the slot's label table.  Interning
    new labels mutates the shared table; handlers run on connection
@@ -317,8 +375,9 @@ let plan_in_slot t sem (s : slot) q =
   | Some c -> Qcache.plan_for_with c ?costs:s.data.costs sem src q
   | None -> Qplan.generate ?costs:s.data.costs sem q src.Exec.constraints
 
-(* One full (uncoalesced) evaluation of [q] against slot [s]. *)
-let evaluate_in_slot t sem (s : slot) q : eval_outcome =
+(* One full (uncoalesced) evaluation of [q] against slot [s]; [miss] is
+   the result-tier probe's verdict (none without a cache). *)
+let evaluate_in_slot t sem (s : slot) q miss : eval_outcome =
   let src = s.data.src in
   on_pool t (fun () ->
       match plan_in_slot t sem s q with
@@ -326,9 +385,9 @@ let evaluate_in_slot t sem (s : slot) q : eval_outcome =
       | Some plan ->
         let deadline = Option.map Timer.deadline_after t.query_timeout in
         (match
-           match t.cache with
-           | Some c -> Qcache.eval_plan_with c ~pool:t.pool ?deadline src plan
-           | None -> Bounded_eval.run ~pool:t.pool ?deadline src plan
+           match (t.cache, miss) with
+           | Some c, Some m -> Qcache.eval_miss c ~pool:t.pool ?deadline m src plan
+           | _ -> Bounded_eval.run ~pool:t.pool ?deadline src plan
          with
         | answer -> `Answer answer
         | exception Timer.Timeout -> `Timeout))
@@ -356,12 +415,12 @@ let evaluate_in_slot t sem (s : slot) q : eval_outcome =
    parsed pattern is reused across a re-dispatch: label ids are stable
    within a schema lineage (snapshot save/load preserves intern order),
    the same property the warm plan tier relies on across reloads. *)
-let coalesced_eval t held sem q limit : (slot * eval_outcome, string) result =
+let coalesced_eval t held sem q miss limit : (slot * eval_outcome, string) result =
   let rec attempt tries (s : slot) =
     if tries >= 4 then
       (* Re-dispatched through several back-to-back reloads; stop
          coalescing and just evaluate on the slot we hold. *)
-      Ok (s, evaluate_in_slot t sem s q)
+      Ok (s, evaluate_in_slot t sem s q miss)
     else begin
       let qkey = Qcache.flight_key ?limit sem ~stamp:s.data.src.Exec.stamp q in
       Mutex.lock t.mu;
@@ -393,7 +452,7 @@ let coalesced_eval t held sem q limit : (slot * eval_outcome, string) result =
         t.sf_leaders <- t.sf_leaders + 1;
         Mutex.unlock t.mu;
         let result =
-          match evaluate_in_slot t sem s q with
+          match evaluate_in_slot t sem s q miss with
           | o -> Ok o
           | exception e -> Error e
         in
@@ -415,67 +474,63 @@ let coalesced_eval t held sem q limit : (slot * eval_outcome, string) result =
   in
   attempt 0 (Option.get !held)
 
-let handle_query t ?id req =
+(* A query's reply goes straight into [buf].  After admission and
+   parsing, the result tier is probed right here on the connection
+   thread: a hit is answered from the entry's memoised answer bytes (a
+   [limit] encodes its prefix instead), and only a miss goes on to
+   coalescing and the pool. *)
+let handle_query t buf ?id req =
+  let error code msg = Json.emit buf (error_response ?id code msg) in
   match acquire t with
-  | Refused code ->
-    error_response ?id code
-      (if code = "overloaded" then
-         Printf.sprintf "query queue full (max_inflight %d)" t.max_inflight
-       else "server is shutting down")
+  | Refused code -> error code (refusal_message t code)
   | Admitted s0 ->
     let held = ref (Some s0) in
     Fun.protect ~finally:(fun () -> Option.iter (release t) !held) @@ fun () ->
     (match (pattern_of req s0, semantics_of t req, limit_of req) with
-     | Error (code, msg), _, _ -> error_response ?id code msg
-     | Ok _, Error msg, _ | Ok _, Ok _, Error msg ->
-       error_response ?id "bad_request" msg
+     | Error (code, msg), _, _ -> error code msg
+     | Ok _, Error msg, _ | Ok _, Ok _, Error msg -> error "bad_request" msg
      | Ok q, Ok sem, Ok limit ->
        let start = Timer.now () in
-       let result =
-         if t.coalesce then coalesced_eval t held sem q limit
-         else Ok (s0, evaluate_in_slot t sem s0 q)
-       in
        (* Latency from the request's own start: a coalesced follower's
           elapsed time includes its wait on the leader — the honest
           client-observed figure. *)
-       let elapsed = Timer.now () -. start in
-       (match result with
-        | Error code ->
-          error_response ?id code
-            (if code = "overloaded" then
-               Printf.sprintf "query queue full (max_inflight %d)" t.max_inflight
-             else "server is shutting down")
-        | Ok (s, outcome) ->
-          let src = s.data.src in
-          (match outcome with
-           | `Answer answer ->
-             Histogram.add t.latency elapsed;
-             Mutex.lock t.mu;
-             t.served <- t.served + 1;
-             Mutex.unlock t.mu;
-             let answer =
-               (* The result tier caches full answers; apply the limit on
-                  the way out exactly like the one-shot CLI does. *)
-               match (answer, limit) with
-               | Bounded_eval.Matches ms, Some l ->
-                 Bounded_eval.Matches (List.filteri (fun i _ -> i < l) ms)
-               | answer, _ -> answer
-             in
-             ok_response ?id
-               (("semantics", Json.Str (sem_name sem))
-                :: answer_fields answer
-                @ [ ("elapsed_ms", Json.Float (elapsed *. 1000.0));
-                    ("stamp", Json.Int src.Exec.stamp) ])
-           | `Timeout ->
+       let served () =
+         let elapsed = Timer.now () -. start in
+         Histogram.add t.latency elapsed;
+         Mutex.lock t.mu;
+         t.served <- t.served + 1;
+         Mutex.unlock t.mu;
+         elapsed
+       in
+       let answered (s : slot) answer =
+         let elapsed = served () in
+         add_reply buf ?id ?limit sem ~elapsed ~stamp:s.data.src.Exec.stamp answer
+       in
+       (match Option.map (fun c -> Qcache.probe c sem s0.data.src q) t.cache with
+        | Some (Qcache.Hit h) when limit = None ->
+          let elapsed = served () in
+          add_reply_with buf ?id sem ~elapsed ~stamp:s0.data.src.Exec.stamp (fun buf ->
+              Buffer.add_string buf (Qcache.hit_bytes h answer_bytes))
+        | Some (Qcache.Hit h) -> answered s0 (Qcache.hit_answer h)
+        | lookup ->
+          let miss = match lookup with Some (Qcache.Miss m) -> Some m | _ -> None in
+          let result =
+            if t.coalesce then coalesced_eval t held sem q miss limit
+            else Ok (s0, evaluate_in_slot t sem s0 q miss)
+          in
+          (match result with
+           | Error code -> error code (refusal_message t code)
+           | Ok (s, `Answer answer) -> answered s answer
+           | Ok (_, `Timeout) ->
              Mutex.lock t.mu;
              t.timeouts <- t.timeouts + 1;
              Mutex.unlock t.mu;
-             error_response ?id "timeout"
+             error "timeout"
                (Printf.sprintf "query exceeded the %.3fs budget"
                   (Option.value t.query_timeout ~default:0.0))
-           | `Unbounded ->
-             let d = Ebchk.diagnose sem q src.Exec.constraints in
-             error_response ?id "unbounded" (Ebchk.report q d))))
+           | Ok (s, `Unbounded) ->
+             let d = Ebchk.diagnose sem q s.data.src.Exec.constraints in
+             error "unbounded" (Ebchk.report q d))))
 
 let handle_explain t ?id req =
   match acquire t with
@@ -711,40 +766,47 @@ let handle_compact t ?id () =
        Mutex.unlock t.mu;
        error_response ?id "compact_failed" (Printexc.to_string e))
 
-let handle_json t req =
+let handle_json t buf req =
   let id = Json.member "id" req in
+  let reply j = Json.emit buf j in
   match Json.member "op" req with
-  | Some (Json.Str "query") -> handle_query t ?id req
-  | Some (Json.Str "explain") -> handle_explain t ?id req
-  | Some (Json.Str "stats") -> handle_stats t ?id ()
-  | Some (Json.Str "metrics") -> handle_metrics t ?id ()
-  | Some (Json.Str "reload") -> handle_reload t ?id ()
-  | Some (Json.Str "write") -> handle_write t ?id req
-  | Some (Json.Str "compact") -> handle_compact t ?id ()
+  | Some (Json.Str "query") -> handle_query t buf ?id req
+  | Some (Json.Str "explain") -> reply (handle_explain t ?id req)
+  | Some (Json.Str "stats") -> reply (handle_stats t ?id ())
+  | Some (Json.Str "metrics") -> reply (handle_metrics t ?id ())
+  | Some (Json.Str "reload") -> reply (handle_reload t ?id ())
+  | Some (Json.Str "write") -> reply (handle_write t ?id req)
+  | Some (Json.Str "compact") -> reply (handle_compact t ?id ())
   | Some (Json.Str "shutdown") ->
     request_stop t;
-    ok_response ?id [ ("stopping", Json.Bool true) ]
+    reply (ok_response ?id [ ("stopping", Json.Bool true) ])
   | Some (Json.Str op) ->
-    error_response ?id "bad_request"
-      (Printf.sprintf
-         "unknown op %S (query|explain|stats|metrics|reload|write|compact|shutdown)" op)
-  | Some _ -> error_response ?id "bad_request" "\"op\" must be a string"
-  | None -> error_response ?id "bad_request" "missing \"op\""
+    reply
+      (error_response ?id "bad_request"
+         (Printf.sprintf
+            "unknown op %S (query|explain|stats|metrics|reload|write|compact|shutdown)" op))
+  | Some _ -> reply (error_response ?id "bad_request" "\"op\" must be a string")
+  | None -> reply (error_response ?id "bad_request" "missing \"op\"")
+
+(* Append the response to one request line to [buf]. *)
+let respond t buf line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as req) ->
+    let mark = Buffer.length buf in
+    (try handle_json t buf req
+     with e ->
+       Buffer.truncate buf mark;
+       Mutex.lock t.mu;
+       t.errors <- t.errors + 1;
+       Mutex.unlock t.mu;
+       Json.emit buf (error_response "internal" (Printexc.to_string e)))
+  | Ok _ -> Json.emit buf (error_response "bad_request" "request must be a JSON object")
+  | Error msg -> Json.emit buf (error_response "parse" ("invalid JSON: " ^ msg))
 
 let handle_line t line =
-  let resp =
-    match Json.parse line with
-    | Ok (Json.Obj _ as req) -> (
-      try handle_json t req
-      with e ->
-        Mutex.lock t.mu;
-        t.errors <- t.errors + 1;
-        Mutex.unlock t.mu;
-        error_response "internal" (Printexc.to_string e))
-    | Ok _ -> error_response "bad_request" "request must be a JSON object"
-    | Error msg -> error_response "parse" ("invalid JSON: " ^ msg)
-  in
-  Json.to_string resp
+  let buf = Buffer.create 256 in
+  respond t buf line;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Socket serving                                                      *)
@@ -771,6 +833,7 @@ let untrack_conn t fd =
 let handle_conn t ?read_timeout ?write_timeout fd =
   Sock.set_timeouts ?read:read_timeout ?write:write_timeout fd;
   let rd = Sock.reader fd in
+  let wr = Sock.writer fd in
   let first = ref true in
   let rec loop () =
     if not (stopped t) then
@@ -815,7 +878,8 @@ let handle_conn t ?read_timeout ?write_timeout fd =
         loop ()
       | Some line ->
         first := false;
-        Sock.write_line fd (handle_line t line);
+        respond t (Sock.line_buffer wr) line;
+        Sock.flush_line wr;
         loop ()
   in
   (try loop () with

@@ -38,10 +38,16 @@
 
     {1 Concurrency}
 
-    Connections run on systhreads; admitted queries are routed onto the
-    pool's worker domains ({!Bpq_util.Pool.async}) so the per-domain
-    {!Qcache} shards stay single-owner.  With a sequential pool, queries
-    run inline under one server-wide mutex instead.  Admission control
+    Connections run on systhreads.  An admitted, parsed query first
+    probes the {!Qcache} result tier — one table shared by all domains —
+    on its connection thread: a hit is answered right there, from the
+    answer bytes memoised on the entry at its first hit, with no
+    planning, coalescing or pool hand-off.  A miss is coalesced and
+    routed onto the pool's worker domains ({!Bpq_util.Pool.async}) so
+    the per-domain plan and fetch shards stay single-owner; with a
+    sequential pool it runs inline under one server-wide mutex instead.
+    Each connection builds its replies in one reusable buffer and
+    writes each with its newline in one [write(2)].  Admission control
     caps in-flight queries ([max_inflight]) and connections
     ([max_connections]); requests and connections past the cap get a
     typed [overloaded] error instead of queueing without bound.
@@ -117,6 +123,23 @@ val handle_line : t -> string -> string
     internal failures become [{"ok":false,...}] responses.  This is the
     whole protocol — {!serve} is a socket loop around it, and tests can
     drive it directly. *)
+
+val add_reply :
+  Buffer.t ->
+  ?id:Jsonx.t ->
+  ?limit:int ->
+  Actualized.semantics ->
+  elapsed:float ->
+  stamp:int ->
+  Bounded_eval.answer ->
+  unit
+(** Append the reply line (no newline) a successful query gets:
+    [{"id":ID,"ok":true,"semantics":S,"matches":[...],"n":N,
+    "elapsed_ms":MS,"stamp":STAMP}] ([id] only when given; ["relation"]
+    for simulation answers), byte for byte what {!Jsonx.to_string}
+    prints for that object.  [limit] keeps the first [limit] matches.
+    Elapsed time is in seconds.  The answer is written straight into the
+    buffer, without building a {!Jsonx.t}. *)
 
 val serve : ?read_timeout:float -> ?write_timeout:float -> t -> Unix.file_descr -> unit
 (** [serve t lfd] accepts connections on the listening socket [lfd]

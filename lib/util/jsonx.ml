@@ -32,10 +32,25 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* Decimal digits of a non-positive [m], most significant first.  Both
+   signs go through the negative range, where [min_int] has a
+   magnitude; [string_of_int] formats through [caml_format_int], several
+   times slower for the short node ids answers are made of. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
     (* Keep Float/Int distinct through a print/parse roundtrip: an
        integral float carries an explicit ".0", and the shortest

@@ -19,6 +19,13 @@ type t =
 val to_string : t -> string
 (** One-line strict JSON. *)
 
+val emit : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes to the buffer. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal digits of an integer, byte-identical to
+    [string_of_int] ([min_int] included) without allocating. *)
+
 val parse : string -> (t, string) result
 (** Strict parse of a complete JSON document; trailing non-whitespace is
     an error.  Numbers without [.]/[e] parse as [Int] (falling back to

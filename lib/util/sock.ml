@@ -127,6 +127,11 @@ let trim_cr line =
   let len = String.length line in
   if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1) else line
 
+let rec newline buf i stop =
+  if i >= stop then None
+  else if Bytes.unsafe_get buf i = '\n' then Some i
+  else newline buf (i + 1) stop
+
 (* One LF-terminated line (CR trimmed), [None] at EOF.  Lines longer
    than the buffer accumulate in a side buffer, capped at [max_line].
    Read timeouts (SO_RCVTIMEO) surface as the Unix EAGAIN family — see
@@ -134,12 +139,10 @@ let trim_cr line =
 let read_line r =
   let spill = Buffer.create 0 in
   let rec loop () =
-    let nl =
-      match Bytes.index_from_opt r.buf r.start '\n' with
-      | Some i when i < r.stop -> Some i
-      | Some _ | None -> None
-    in
-    match nl with
+    (* Only [start, stop) holds data: the bytes past [stop] are stale
+       (an earlier read's) or uninitialised, and searching them would
+       cost up to the whole buffer on every incomplete line. *)
+    match newline r.buf r.start r.stop with
     | Some i ->
       let chunk = Bytes.sub_string r.buf r.start (i - r.start) in
       r.start <- i + 1;
@@ -166,16 +169,56 @@ let read_line r =
   in
   loop ()
 
-let rec write_all fd s pos len =
+let rec write_all_bytes fd b pos len =
   if len > 0 then begin
-    match Unix.write_substring fd s pos len with
-    | n -> write_all fd s (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s pos len
+    match Unix.write fd b pos len with
+    | n -> write_all_bytes fd b (pos + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all_bytes fd b pos len
   end
 
+(* [Unix.write] only reads its buffer. *)
+let write_all fd s pos len = write_all_bytes fd (Bytes.unsafe_of_string s) pos len
+
+(* Payload and terminator in one write(2): two writes cost a second
+   syscall, and on TCP can go out as two segments. *)
 let write_line fd s =
-  write_all fd s 0 (String.length s);
-  write_all fd "\n" 0 1
+  let n = String.length s in
+  let b = Bytes.create (n + 1) in
+  Bytes.blit_string s 0 b 0 n;
+  Bytes.unsafe_set b n '\n';
+  write_all_bytes fd b 0 (n + 1)
+
+(* A connection's response lines are built in one buffer that lives as
+   long as the connection, then copied into [out] and written in one
+   write(2).  Both keep their size between lines, so a steady stream of
+   replies allocates nothing; a reply above [writer_keep] bytes resets
+   them, so one huge answer does not pin its memory for the life of the
+   connection. *)
+let writer_initial = 4096
+let writer_keep = 65536
+
+type writer = {
+  wfd : Unix.file_descr;
+  line : Buffer.t;
+  mutable out : Bytes.t;
+}
+
+let writer fd = { wfd = fd; line = Buffer.create writer_initial; out = Bytes.create writer_initial }
+
+let line_buffer w =
+  Buffer.clear w.line;
+  w.line
+
+let flush_line w =
+  Buffer.add_char w.line '\n';
+  let n = Buffer.length w.line in
+  if n > Bytes.length w.out then w.out <- Bytes.create (max n (2 * Bytes.length w.out));
+  Buffer.blit w.line 0 w.out 0 n;
+  write_all_bytes w.wfd w.out 0 n;
+  if n > writer_keep then begin
+    Buffer.reset w.line;
+    w.out <- Bytes.create writer_initial
+  end
 
 (* ---------------- binary framing ---------------- *)
 

@@ -58,7 +58,22 @@ val write_all : Unix.file_descr -> string -> int -> int -> unit
     writes. *)
 
 val write_line : Unix.file_descr -> string -> unit
-(** The string followed by ['\n']. *)
+(** The string followed by ['\n'], in one [write(2)] unless the kernel
+    takes it short. *)
+
+type writer
+(** A reusable line buffer for one connection's responses. *)
+
+val writer : Unix.file_descr -> writer
+
+val line_buffer : writer -> Buffer.t
+(** The writer's buffer, emptied: build the next line (without its
+    ['\n']) in it, then {!flush_line}. *)
+
+val flush_line : writer -> unit
+(** Write the buffered line and its ['\n'] in one [write(2)] (looping
+    only on short writes).  The buffer keeps its size for the next line
+    unless this one was over 64 KiB, in which case it shrinks back. *)
 
 (** {1 Binary framing}
 

@@ -32,8 +32,10 @@ let norm_sim sim =
          Array.to_list c)
        sim)
 
-let qcheck ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* [seed] fixes the generator's random state, so a run's cases repeat. *)
+let qcheck ?(count = 100) ?seed name gen prop =
+  let rand = Option.map (fun s -> Random.State.make [| s |]) seed in
+  QCheck_alcotest.to_alcotest ?rand (QCheck2.Test.make ~count ~name gen prop)
 
 (* A deterministic RNG per test to keep failures reproducible. *)
 let rng () = Bpq_util.Prng.create 20150413

@@ -591,6 +591,227 @@ let test_http_metrics () =
   let j = Server.Client.metrics conn in
   Helpers.check_true "json metrics still ok" (Json.member "ok" j = Some (Json.Bool true))
 
+(* ------------------------------------------------------------------ *)
+(* Replies written straight into the buffer                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The tree encoding the direct writer replaced, kept as its oracle. *)
+let matches_json ms =
+  Json.Arr (List.map (fun m -> Json.Arr (List.map (fun v -> Json.Int v) (Array.to_list m))) ms)
+
+let relation_json sim =
+  Json.Arr
+    (Array.to_list
+       (Array.map
+          (fun vs -> Json.Arr (List.map (fun v -> Json.Int v) (Array.to_list vs)))
+          sim))
+
+let answer_fields = function
+  | Bounded_eval.Matches ms ->
+    [ ("matches", matches_json ms); ("n", Json.Int (List.length ms)) ]
+  | Bounded_eval.Relation sim ->
+    [ ("relation", relation_json sim);
+      ("n", Json.Int (Array.fold_left (fun acc vs -> acc + Array.length vs) 0 sim)) ]
+
+let tree_reply ?id ?limit sem ~elapsed ~stamp answer =
+  let answer =
+    match (answer, limit) with
+    | Bounded_eval.Matches ms, Some l -> Bounded_eval.Matches (List.filteri (fun i _ -> i < l) ms)
+    | answer, _ -> answer
+  in
+  let sem_name = match sem with Actualized.Subgraph -> "subgraph" | Actualized.Simulation -> "simulation" in
+  Json.to_string
+    (Json.Obj
+       ((match id with None -> [] | Some id -> [ ("id", id) ])
+        @ (("ok", Json.Bool true) :: ("semantics", Json.Str sem_name) :: answer_fields answer)
+        @ [ ("elapsed_ms", Json.Float (elapsed *. 1000.0)); ("stamp", Json.Int stamp) ]))
+
+let direct_reply ?id ?limit sem ~elapsed ~stamp answer =
+  let buf = Buffer.create 64 in
+  Server.add_reply buf ?id ?limit sem ~elapsed ~stamp answer;
+  Buffer.contents buf
+
+let reply_case_gen =
+  let open QCheck2.Gen in
+  let node = oneof [ int_range 0 20; int_range 0 10_000_000; int ] in
+  let answer =
+    oneof
+      [ (let* k = int_range 1 5 in
+         map
+           (fun ms -> Bounded_eval.Matches ms)
+           (list_size (int_range 0 12) (array_size (return k) node)));
+        map
+          (fun rel -> Bounded_eval.Relation rel)
+          (array_size (int_range 0 5) (array_size (int_range 0 6) node)) ]
+  in
+  let id =
+    opt
+      (oneof
+         [ map (fun i -> Json.Int i) int;
+           map (fun s -> Json.Str s) (string_size ~gen:printable (int_range 0 8));
+           return (Json.Arr [ Json.Null; Json.Bool true ]) ])
+  in
+  tup5 answer id (opt (int_range 0 14))
+    (oneofl [ Actualized.Subgraph; Actualized.Simulation ])
+    (pair (float_range 0.0 2.0) int)
+
+let direct_reply_matches_tree =
+  Helpers.qcheck ~count:500 ~seed:42 "direct reply writer = tree encoding" reply_case_gen
+    (fun (answer, id, limit, sem, (elapsed, stamp)) ->
+      direct_reply ?id ?limit sem ~elapsed ~stamp answer
+      = tree_reply ?id ?limit sem ~elapsed ~stamp answer)
+
+let test_direct_reply_empty () =
+  List.iter
+    (fun (answer, id, limit) ->
+      Alcotest.(check string) "empty answer"
+        (tree_reply ?id ?limit Actualized.Subgraph ~elapsed:0.25 ~stamp:3 answer)
+        (direct_reply ?id ?limit Actualized.Subgraph ~elapsed:0.25 ~stamp:3 answer))
+    [ (Bounded_eval.Matches [], None, None);
+      (Bounded_eval.Matches [], Some (Json.Int 1), Some 0);
+      (Bounded_eval.Matches [ [| 1; 2 |] ], None, Some 0);
+      (Bounded_eval.Relation [||], Some (Json.Str "x"), None);
+      (Bounded_eval.Relation [| [||]; [||] |], None, Some 1) ]
+
+(* ------------------------------------------------------------------ *)
+(* Result-tier hits on the connection thread                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A reply with its elapsed time blanked: the only field that differs
+   between two correct replies to the same request. *)
+let strip_elapsed reply =
+  let key = "\"elapsed_ms\":" in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length reply then reply
+    else if String.sub reply i n = key then begin
+      let j = ref (i + n) in
+      while !j < String.length reply && reply.[!j] <> ',' && reply.[!j] <> '}' do
+        incr j
+      done;
+      String.sub reply 0 (i + n) ^ "_" ^ String.sub reply !j (String.length reply - !j)
+    end
+    else find (i + 1)
+  in
+  find 0
+
+(* Raw reply lines over a socket, so the bytes are the connection
+   thread's, not a re-encoding. *)
+let raw_rpc fd rd line =
+  Sock.write_line fd line;
+  match Sock.read_line rd with
+  | Some reply -> strip_elapsed reply
+  | None -> Alcotest.fail "server closed the connection"
+
+let with_raw_conn addr f =
+  let fd = Sock.connect addr in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () -> f (raw_rpc fd (Sock.reader fd))
+
+let query_line ?id ?limit ?semantics text =
+  Json.to_string
+    (Json.Obj
+       ([ ("op", Json.Str "query"); ("pattern", Json.Str text) ]
+        @ (match id with Some i -> [ ("id", Json.Int i) ] | None -> [])
+        @ (match limit with Some l -> [ ("limit", Json.Int l) ] | None -> [])
+        @ match semantics with Some s -> [ ("semantics", Json.Str s) ] | None -> []))
+
+let cache_counts cache =
+  let s = Qcache.stats cache in
+  (s.Qcache.result_misses, s.Qcache.result_hits, s.Qcache.result_stale)
+
+let stats_cache_counts rpc =
+  match Json.parse (rpc "{\"op\":\"stats\"}") with
+  | Ok st ->
+    let c name =
+      Option.value ~default:(-1)
+        (Option.bind (Option.bind (Json.member "cache" st) (Json.member name)) Json.to_int_opt)
+    in
+    (c "result_misses", c "result_hits")
+  | Error e -> Alcotest.fail e
+
+let test_hit_byte_identical () =
+  let cache = Qcache.create () in
+  with_server ~cache ~pool:Pool.sequential (fresh_slot ()) @@ fun _ addr ->
+  with_raw_conn addr @@ fun rpc ->
+  let line = query_line ~id:5 (q0_text ()) in
+  let miss = rpc line in
+  Alcotest.(check (pair int int)) "stats.cache after the first" (1, 0) (stats_cache_counts rpc);
+  let hit = rpc line in
+  Alcotest.(check (pair int int)) "stats.cache after the repeat" (1, 1) (stats_cache_counts rpc);
+  Alcotest.(check string) "hit bytes = miss bytes" miss hit;
+  Alcotest.(check string) "memoised bytes reused" miss (rpc line)
+
+(* A limit on a hit encodes the entry's prefix: the same bytes as the
+   limited miss and as a server without any cache, before and after the
+   unlimited reply has memoised the full answer. *)
+let test_hit_limit () =
+  let text = q0_text () in
+  let reference =
+    with_server (fresh_slot ()) @@ fun _ addr ->
+    with_raw_conn addr @@ fun rpc ->
+    (rpc (query_line ~limit:2 text), rpc (query_line text))
+  in
+  let cache = Qcache.create () in
+  with_server ~cache (fresh_slot ()) @@ fun _ addr ->
+  with_raw_conn addr @@ fun rpc ->
+  let limited, full = reference in
+  List.iter
+    (fun (what, limit, want) ->
+      Alcotest.(check string) what want (rpc (query_line ?limit text)))
+    [ ("limited miss", Some 2, limited);
+      ("limited hit", Some 2, limited);
+      ("unlimited hit", None, full);
+      ("unlimited memoised hit", None, full);
+      ("limited hit after memo", Some 2, limited) ];
+  Alcotest.(check (triple int int int)) "one miss, four hits" (1, 4, 0) (cache_counts cache)
+
+(* A same-lineage reload keeps the result tier warm: the first query on
+   the new generation is a hit. *)
+let test_hit_across_reload () =
+  let d = Lazy.force ds in
+  let snap = Filename.temp_file "bpq_serve" ".snap" in
+  Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+  @@ fun () ->
+  Schema.save d.W.schema snap;
+  let load_slot () = slot_of_schema (fst (Schema.load (Label.create_table ()) snap)) in
+  let cache = Qcache.create () in
+  with_server ~cache ~reload:load_slot (load_slot ()) @@ fun _ addr ->
+  with_raw_conn addr @@ fun rpc ->
+  let line = query_line (q0_text ()) in
+  let before = rpc line in
+  Helpers.check_true "reload ok"
+    (match Json.parse (rpc "{\"op\":\"reload\"}") with
+     | Ok j -> Json.member "ok" j = Some (Json.Bool true)
+     | Error _ -> false);
+  Alcotest.(check string) "same bytes after the reload" before (rpc line);
+  Alcotest.(check (triple int int int)) "the post-reload query hit" (1, 1, 0) (cache_counts cache)
+
+(* Sequential and two-domain servers send the same bytes, on misses and
+   on hits, for every kind of reply. *)
+let test_hit_jobs_identical () =
+  let text = q0_text () in
+  let unb = "n a award\nn m movie\ne a m\n" in
+  let lines =
+    [ query_line text; query_line ~id:1 text; query_line ~limit:1 text;
+      query_line ~semantics:"simulation" text; query_line ~id:2 ~limit:0 unb;
+      query_line text; query_line ~semantics:"simulation" ~limit:1 text ]
+  in
+  let replies pool =
+    with_server ~cache:(Qcache.create ()) ~pool (fresh_slot ()) @@ fun _ addr ->
+    with_raw_conn addr @@ fun rpc ->
+    let once = List.map rpc lines in
+    (once, List.map rpc lines)
+  in
+  let seq_miss, seq_hit = replies Pool.sequential in
+  let pool = Pool.create 2 in
+  let par_miss, par_hit =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> replies pool)
+  in
+  Alcotest.(check (list string)) "hits = misses (-j 1)" seq_miss seq_hit;
+  Alcotest.(check (list string)) "-j 2 = -j 1 (misses)" seq_miss par_miss;
+  Alcotest.(check (list string)) "-j 2 = -j 1 (hits)" seq_miss par_hit
+
 let suite =
   [ Alcotest.test_case "protocol routing" `Quick test_protocol;
     Alcotest.test_case "admission control" `Quick test_admission;
@@ -605,4 +826,11 @@ let suite =
     Alcotest.test_case "mid-flight reload: followers re-dispatch" `Quick
       test_coalescing_reload;
     Alcotest.test_case "prometheus metrics page" `Quick test_metrics;
-    Alcotest.test_case "http GET /metrics scrape" `Quick test_http_metrics ]
+    Alcotest.test_case "http GET /metrics scrape" `Quick test_http_metrics;
+    direct_reply_matches_tree;
+    Alcotest.test_case "direct reply: empty answers" `Quick test_direct_reply_empty;
+    Alcotest.test_case "result hit: byte-identical, 1 miss then 1 hit" `Quick
+      test_hit_byte_identical;
+    Alcotest.test_case "result hit: limit prefix bytes" `Quick test_hit_limit;
+    Alcotest.test_case "result hit: survives same-lineage reload" `Quick test_hit_across_reload;
+    Alcotest.test_case "result hit: -j 1 and -j 2 identical" `Quick test_hit_jobs_identical ]

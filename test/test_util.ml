@@ -459,6 +459,122 @@ let jsonx_roundtrip =
 
 (* Histogram *)
 
+let add_int_string i =
+  let b = Buffer.create 20 in
+  Jsonx.add_int b i;
+  Buffer.contents b
+
+let test_jsonx_add_int_extremes () =
+  List.iter
+    (fun i -> Alcotest.(check string) (string_of_int i) (string_of_int i) (add_int_string i))
+    [ 0; -1; 1; 9; 10; -10; 99; 100; -100; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let jsonx_add_int_matches_string_of_int =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [ int;
+          int_range (-100_000) 100_000;
+          oneofl [ 0; -1; max_int; min_int ] ])
+  in
+  Helpers.qcheck ~count:1000 ~seed:41 "Jsonx.add_int = string_of_int" gen (fun i ->
+      add_int_string i = string_of_int i)
+
+(* ---------------- Sock line framing ---------------- *)
+
+let with_socketpair ?(kind = Unix.SOCK_STREAM) f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX kind 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () -> f a b)
+
+(* A line split across two reads at every offset comes back whole.  The
+   writer pauses between the halves so the reader sees them in separate
+   reads; one reader serves every offset, so the lines also start at
+   every position of its buffer. *)
+let test_sock_read_line_split () =
+  with_socketpair @@ fun a b ->
+  let line k = Printf.sprintf "{\"op\":\"query\",\"id\":%02d}" k in
+  let len = String.length (line 0) + 1 in
+  let writer =
+    Thread.create
+      (fun () ->
+        for k = 0 to len do
+          let s = line k ^ "\n" in
+          Sock.write_all b s 0 k;
+          Thread.delay 0.002;
+          Sock.write_all b s k (len - k)
+        done;
+        Unix.shutdown b Unix.SHUTDOWN_SEND)
+      ()
+  in
+  let rd = Sock.reader a in
+  for k = 0 to len do
+    Alcotest.(check (option string)) (Printf.sprintf "split at %d" k) (Some (line k))
+      (Sock.read_line rd)
+  done;
+  Alcotest.(check (option string)) "then EOF" None (Sock.read_line rd);
+  Thread.join writer
+
+(* Bytes an earlier read left past the filled range are never data: the
+   shorter second read leaves the first read's newlines behind [stop],
+   and none of them may end a line early. *)
+let test_sock_read_line_stale () =
+  with_socketpair @@ fun a b ->
+  let rd = Sock.reader a in
+  let first = "a\nbbbbbbbb\n\n\n" in
+  Sock.write_all b first 0 (String.length first);
+  List.iter
+    (fun want -> Alcotest.(check (option string)) "first read" (Some want) (Sock.read_line rd))
+    [ "a"; "bbbbbbbb"; ""; "" ];
+  Sock.write_all b "cc" 0 2;
+  Unix.shutdown b Unix.SHUTDOWN_SEND;
+  Alcotest.(check (option string)) "no phantom line" (Some "cc") (Sock.read_line rd);
+  Alcotest.(check (option string)) "then EOF" None (Sock.read_line rd)
+
+(* One line is one write(2): over a datagram socket each write arrives
+   as its own datagram, so a line sent in two writes would read as two. *)
+let test_sock_one_write_per_line () =
+  with_socketpair ~kind:Unix.SOCK_DGRAM @@ fun a b ->
+  let buf = Bytes.create 4096 in
+  let datagram () = Bytes.sub_string buf 0 (Unix.read a buf 0 (Bytes.length buf)) in
+  Sock.write_line b "{\"ok\":true}";
+  Alcotest.(check string) "write_line" "{\"ok\":true}\n" (datagram ());
+  let w = Sock.writer b in
+  Buffer.add_string (Sock.line_buffer w) "first";
+  Sock.flush_line w;
+  Alcotest.(check string) "flush_line" "first\n" (datagram ());
+  Buffer.add_string (Sock.line_buffer w) "second";
+  Sock.flush_line w;
+  Alcotest.(check string) "the buffer starts empty again" "second\n" (datagram ())
+
+(* Lines far above the writer's kept size go out whole, and the writer
+   keeps working after shrinking back. *)
+let test_sock_writer_large_lines () =
+  with_socketpair @@ fun a b ->
+  let lines = [ "x"; String.make 200_000 'y'; "z"; String.make 70_000 'w'; "v" ] in
+  let writer =
+    Thread.create
+      (fun () ->
+        let w = Sock.writer b in
+        List.iter
+          (fun l ->
+            Buffer.add_string (Sock.line_buffer w) l;
+            Sock.flush_line w)
+          lines;
+        Unix.shutdown b Unix.SHUTDOWN_SEND)
+      ()
+  in
+  let rd = Sock.reader a in
+  List.iter
+    (fun l ->
+      Alcotest.(check (option int)) "line length" (Some (String.length l))
+        (Option.map String.length (Sock.read_line rd)))
+    lines;
+  Alcotest.(check (option string)) "then EOF" None (Sock.read_line rd);
+  Thread.join writer
+
 let test_histogram_empty () =
   let h = Histogram.create () in
   Helpers.check_int "count" 0 (Histogram.count h);
@@ -642,6 +758,12 @@ let suite =
     Alcotest.test_case "jsonx print" `Quick test_jsonx_print;
     Alcotest.test_case "jsonx parse" `Quick test_jsonx_parse;
     Alcotest.test_case "jsonx accessors" `Quick test_jsonx_accessors;
+    Alcotest.test_case "jsonx add_int extremes" `Quick test_jsonx_add_int_extremes;
+    jsonx_add_int_matches_string_of_int;
+    Alcotest.test_case "sock read_line split at every offset" `Quick test_sock_read_line_split;
+    Alcotest.test_case "sock read_line ignores stale bytes" `Quick test_sock_read_line_stale;
+    Alcotest.test_case "sock one write per line" `Quick test_sock_one_write_per_line;
+    Alcotest.test_case "sock writer large lines" `Quick test_sock_writer_large_lines;
     jsonx_roundtrip;
     Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;

@@ -483,6 +483,22 @@ let int_field k j = Option.bind (Json.member k j) Json.to_int_opt
 let n_matches j =
   match Json.member "matches" j with Some (Json.Arr rows) -> List.length rows | _ -> -1
 
+(* The serve write hook over a store: apply the request's ops and hand
+   back a slot over the post-write state. *)
+let write_hook store slot req =
+  match Json.member "ops" req with
+  | Some (Json.Arr l) ->
+    let ops =
+      List.map
+        (fun j ->
+          match Wal.op_of_json j with Ok o -> o | Error e -> failwith e)
+        l
+    in
+    (match Store.apply_ops store ops with
+    | Ok n -> Ok (Some (slot ()), [ ("applied", Json.Int n) ])
+    | Error m -> Error ("bad_request", m))
+  | _ -> Error ("bad_request", "missing ops")
+
 let test_serve_write_path () =
   let _, _, _, schema = tiny_instance () in
   with_temp ".snap" @@ fun snap ->
@@ -491,20 +507,7 @@ let test_serve_write_path () =
   let store = ref (Store.open_snapshot snap) in
   ignore (Store.attach_wal !store walp);
   let slot () = { Server.src = Store.source !store; costs = None; close = ignore } in
-  let write req =
-    match Json.member "ops" req with
-    | Some (Json.Arr l) ->
-      let ops =
-        List.map
-          (fun j ->
-            match Wal.op_of_json j with Ok o -> o | Error e -> failwith e)
-          l
-      in
-      (match Store.apply_ops !store ops with
-      | Ok n -> Ok (Some (slot ()), [ ("applied", Json.Int n) ])
-      | Error m -> Error ("bad_request", m))
-    | _ -> Error ("bad_request", "missing ops")
-  in
+  let write req = write_hook !store slot req in
   let compact () =
     let carry = Option.get (Store.overlay !store) in
     ignore (Store.compact !store);
@@ -547,6 +550,47 @@ let test_serve_write_path () =
   Helpers.check_int "compactions counted" 1
     (Option.value ~default:(-1) (int_field "compactions" st));
   Store.close !store
+
+(* A write that touches a label a cached query uses stales its result
+   entry: the next identical query counts [result_stale] and gets the
+   post-write answer, while a cached query on untouched labels still
+   hits. *)
+let test_serve_write_stales_result () =
+  let _, _, _, schema = tiny_instance () in
+  with_temp ".snap" @@ fun snap ->
+  with_temp ".wal" @@ fun walp ->
+  Schema.save schema snap;
+  let store = Store.open_snapshot snap in
+  Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+  ignore (Store.attach_wal store walp);
+  let slot () = { Server.src = Store.source store; costs = None; close = ignore } in
+  let cache = Qcache.create () in
+  let server =
+    Server.create ~cache ~write:(write_hook store slot) ~pool:Pool.sequential (slot ())
+  in
+  let counts () =
+    let s = Qcache.stats cache in
+    (s.Qcache.result_misses, s.Qcache.result_hits, s.Qcache.result_stale)
+  in
+  let ab = "{\"op\":\"query\",\"pattern\":\"n x a\\nn y b\\ne x y\"}" in
+  let cd = "{\"op\":\"query\",\"pattern\":\"n x c\\nn y d\\ne x y\"}" in
+  List.iter (fun q -> ignore (response server q)) [ ab; ab; cd; cd ];
+  Alcotest.(check (triple int int int)) "warm" (2, 2, 0) (counts ());
+  Helpers.check_true "write accepted"
+    (ok
+       (response server
+          "{\"op\":\"write\",\"ops\":[{\"op\":\"add_node\",\"label\":\"b\"},\
+           {\"op\":\"add_edge\",\"src\":0,\"dst\":6}]}"));
+  let post = response server ab in
+  Alcotest.(check (triple int int int)) "the touched query is stale" (2, 2, 1) (counts ());
+  Helpers.check_int "post-write answer" 3 (n_matches post);
+  let uncached = Server.create ~pool:Pool.sequential (slot ()) in
+  Helpers.check_true "equal to an uncached server's"
+    (Json.member "matches" post = Json.member "matches" (response uncached ab));
+  ignore (response server cd);
+  Helpers.check_int "post-write answer, now cached" 3 (n_matches (response server ab));
+  Alcotest.(check (triple int int int)) "untouched and re-cached queries hit" (2, 4, 1)
+    (counts ())
 
 let test_serve_write_refused_without_hook () =
   let _, _, _, schema = tiny_instance () in
@@ -614,6 +658,8 @@ let suite =
       test_cache_generations;
     Alcotest.test_case "per-version fetch tiers" `Quick test_fetch_tiers;
     Alcotest.test_case "serve write and compact ops" `Quick test_serve_write_path;
+    Alcotest.test_case "serve write stales the touched result entry" `Quick
+      test_serve_write_stales_result;
     Alcotest.test_case "write refused without --wal" `Quick
       test_serve_write_refused_without_hook;
     Alcotest.test_case "http GET /healthz" `Quick test_healthz ]
