@@ -275,7 +275,7 @@ let gen_for t (src : Exec.source) =
    or insert only; evaluation runs outside it.  A hit is counted here; a
    miss or stale entry is counted by [eval_miss], so that a lookup
    nobody evaluates (a coalesced follower, an unbounded pattern) counts
-   nothing, as before the probe moved ahead of planning. *)
+   nothing. *)
 let probe t ?limit semantics (src : Exec.source) q =
   let stamp = src.Exec.stamp in
   let key = result_key stamp semantics q limit in

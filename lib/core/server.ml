@@ -494,24 +494,19 @@ let handle_query t buf ?id req =
        (* Latency from the request's own start: a coalesced follower's
           elapsed time includes its wait on the leader — the honest
           client-observed figure. *)
-       let served () =
+       let answered (s : slot) add_part =
          let elapsed = Timer.now () -. start in
          Histogram.add t.latency elapsed;
          Mutex.lock t.mu;
          t.served <- t.served + 1;
          Mutex.unlock t.mu;
-         elapsed
+         add_reply_with buf ?id sem ~elapsed ~stamp:s.data.src.Exec.stamp add_part
        in
-       let answered (s : slot) answer =
-         let elapsed = served () in
-         add_reply buf ?id ?limit sem ~elapsed ~stamp:s.data.src.Exec.stamp answer
-       in
+       let part answer buf = add_answer ?limit buf answer in
        (match Option.map (fun c -> Qcache.probe c sem s0.data.src q) t.cache with
         | Some (Qcache.Hit h) when limit = None ->
-          let elapsed = served () in
-          add_reply_with buf ?id sem ~elapsed ~stamp:s0.data.src.Exec.stamp (fun buf ->
-              Buffer.add_string buf (Qcache.hit_bytes h answer_bytes))
-        | Some (Qcache.Hit h) -> answered s0 (Qcache.hit_answer h)
+          answered s0 (fun buf -> Buffer.add_string buf (Qcache.hit_bytes h answer_bytes))
+        | Some (Qcache.Hit h) -> answered s0 (part (Qcache.hit_answer h))
         | lookup ->
           let miss = match lookup with Some (Qcache.Miss m) -> Some m | _ -> None in
           let result =
@@ -520,7 +515,7 @@ let handle_query t buf ?id req =
           in
           (match result with
            | Error code -> error code (refusal_message t code)
-           | Ok (s, `Answer answer) -> answered s answer
+           | Ok (s, `Answer answer) -> answered s (part answer)
            | Ok (_, `Timeout) ->
              Mutex.lock t.mu;
              t.timeouts <- t.timeouts + 1;
@@ -768,25 +763,26 @@ let handle_compact t ?id () =
 
 let handle_json t buf req =
   let id = Json.member "id" req in
-  let reply j = Json.emit buf j in
   match Json.member "op" req with
   | Some (Json.Str "query") -> handle_query t buf ?id req
-  | Some (Json.Str "explain") -> reply (handle_explain t ?id req)
-  | Some (Json.Str "stats") -> reply (handle_stats t ?id ())
-  | Some (Json.Str "metrics") -> reply (handle_metrics t ?id ())
-  | Some (Json.Str "reload") -> reply (handle_reload t ?id ())
-  | Some (Json.Str "write") -> reply (handle_write t ?id req)
-  | Some (Json.Str "compact") -> reply (handle_compact t ?id ())
-  | Some (Json.Str "shutdown") ->
-    request_stop t;
-    reply (ok_response ?id [ ("stopping", Json.Bool true) ])
-  | Some (Json.Str op) ->
-    reply
-      (error_response ?id "bad_request"
-         (Printf.sprintf
-            "unknown op %S (query|explain|stats|metrics|reload|write|compact|shutdown)" op))
-  | Some _ -> reply (error_response ?id "bad_request" "\"op\" must be a string")
-  | None -> reply (error_response ?id "bad_request" "missing \"op\"")
+  | op ->
+    Json.emit buf
+      (match op with
+       | Some (Json.Str "explain") -> handle_explain t ?id req
+       | Some (Json.Str "stats") -> handle_stats t ?id ()
+       | Some (Json.Str "metrics") -> handle_metrics t ?id ()
+       | Some (Json.Str "reload") -> handle_reload t ?id ()
+       | Some (Json.Str "write") -> handle_write t ?id req
+       | Some (Json.Str "compact") -> handle_compact t ?id ()
+       | Some (Json.Str "shutdown") ->
+         request_stop t;
+         ok_response ?id [ ("stopping", Json.Bool true) ]
+       | Some (Json.Str op) ->
+         error_response ?id "bad_request"
+           (Printf.sprintf
+              "unknown op %S (query|explain|stats|metrics|reload|write|compact|shutdown)" op)
+       | Some _ -> error_response ?id "bad_request" "\"op\" must be a string"
+       | None -> error_response ?id "bad_request" "missing \"op\"")
 
 (* Append the response to one request line to [buf]. *)
 let respond t buf line =
