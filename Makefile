@@ -15,12 +15,12 @@ test:
 bench-fast:
 	BENCH_FAST=1 dune exec bench/main.exe
 
-# Kernel microbenches (edge-probe, index-lookup, tuple-enum, match-verify)
-# on a small IMDb-like graph; jq validates the JSON artefact so CI fails
-# on malformed output.
+# Kernel microbenches (edge-probe, index-lookup, tuple-enum, int-map,
+# match-verify) on a small IMDb-like graph; jq validates the JSON
+# artefact so CI fails on malformed output.
 bench-micro:
 	BENCH_FAST=1 dune exec bench/main.exe -- micro --json _bench
-	jq -e '.kernels | length >= 4' _bench/BENCH_micro.json >/dev/null
+	jq -e '.kernels | length >= 5' _bench/BENCH_micro.json >/dev/null
 	@echo "bench-micro: _bench/BENCH_micro.json OK"
 
 # Cross-query caching experiment: cold vs warm serving of a template

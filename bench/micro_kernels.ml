@@ -1,7 +1,8 @@
 (* Per-kernel microbenchmarks: the `bench micro` subcommand.
 
-   Times the four hot kernels in isolation — edge-probe, index-lookup,
-   tuple-enumeration, match-verify — on the IMDb-like generator, and
+   Times the hot kernels in isolation — edge-probe, index-lookup,
+   tuple-enumeration, the executor's int tables, match-verify — on the
+   IMDb-like generator, and
    compares the current data layout against the *seed* layout
    (re-implemented here verbatim: packed-int `Hashtbl` edge set,
    `(int list, Vec.t) Hashtbl` index buckets with a polymorphic sort per
@@ -16,6 +17,7 @@ open Bpq_core
 open Bench_common
 module W = Bpq_workload.Workload
 module Vec = Bpq_util.Vec
+module Int_table = Bpq_util.Int_table
 module Json = Json_out
 
 (* Adaptive per-batch timer: doubles the repetition count until the batch
@@ -244,6 +246,53 @@ let bench_match_verify_par schema plan =
   ignore !sink;
   (t_par, Some t_seq)
 
+(* The executor's per-query int tables (pair dedup, G_Q edge set, G_Q
+   renumbering) on a G_Q-sized set of packed edge keys: every key is
+   inserted twice, as the pair dedup sees recurring pairs, then looked up
+   once, as the renumbering is.  The current arm reuses one cleared
+   [Int_table] across passes, as the executor's free list does; the seed
+   arm is the per-query [Hashtbl.Make] table it replaced, allocated per
+   pass as the executor used to.  Times are per table operation. *)
+module Seed_int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash x =
+    let x = x * 0x9E3779B97F4A7C1 in
+    let x = x lxor (x lsr 29) in
+    let x = x * 0xBF58476D1CE4E5 in
+    x lxor (x lsr 32)
+end)
+
+let n_gq_edges = 2048 (* <= n_probes *)
+
+let bench_int_map g =
+  let keys =
+    Array.map (fun (s, d) -> (s lsl 31) lor d) (Array.sub (edge_probe_sample g) 0 n_gq_edges)
+  in
+  let ops = float_of_int (3 * n_gq_edges) in
+  let sink = ref 0 in
+  let tbl = Int_table.create 256 in
+  let fresh () =
+    Int_table.clear tbl;
+    for _ = 1 to 2 do
+      Array.iteri (fun i k -> ignore (Int_table.add_if_absent tbl k i)) keys
+    done;
+    Array.iter (fun k -> sink := !sink + Int_table.find tbl ~default:0 k) keys
+  in
+  let seed () =
+    let h = Seed_int_tbl.create 256 in
+    for _ = 1 to 2 do
+      Array.iteri (fun i k -> if not (Seed_int_tbl.mem h k) then Seed_int_tbl.replace h k i) keys
+    done;
+    Array.iter (fun k -> sink := !sink + Seed_int_tbl.find h k) keys
+  in
+  let t_new = time_per_call fresh /. ops in
+  let t_seed = time_per_call seed /. ops in
+  ignore !sink;
+  (t_new, Some t_seed)
+
 (* ------------------------------------------------------------------ *)
 
 let cell_ns s = Printf.sprintf "%.0fns" (s *. 1e9)
@@ -286,6 +335,7 @@ let run () =
        | Some idx -> [ ("index-lookup-2key", bench_index_lookup idx) ]
        | None -> [])
     @ [ ("tuple-enum", bench_tuple_enum ());
+        ("int-map", bench_int_map g);
         ("match-verify", bench_match_verify schema plan);
         ("match-verify-wide", bench_match_verify schema wide_plan);
         ("match-verify-par4", bench_match_verify_par schema wide_plan) ]

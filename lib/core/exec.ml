@@ -3,6 +3,7 @@ open Bpq_pattern
 open Bpq_access
 module Vec = Bpq_util.Vec
 module Pool = Bpq_util.Pool
+module Int_table = Bpq_util.Int_table
 
 type stats = {
   fetch_lookups : int;
@@ -230,17 +231,46 @@ let intersect_sorted (a : int array) (b : int array) =
 let pack_edge s d = (s lsl 31) lor d
 let unpack_edge k = (k lsr 31, k land ((1 lsl 31) - 1))
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
+(* A run's three hashtables — the per-operation pair dedup, the G_Q
+   edge set and the G_Q renumbering — recycled across runs through a
+   small free list instead of allocated per query: sized for a G_Q they
+   outgrow the minor heap, so fresh ones per query would land on the
+   major heap every time.  Tables come back cleared; one that grew past
+   [scratch_cap] slots is replaced by a fresh one, since clearing costs
+   its size.  Runs on systhreads share a domain, so the list is guarded
+   by a mutex rather than held in domain-local storage. *)
+type scratch = { seen : Int_table.t; gq_edges : Int_table.t; to_gq : Int_table.t }
 
-  let equal (a : int) b = a = b
+let scratch_cap = 1 lsl 12
+let max_free_scratch = 8
+let free_scratch = ref []
+let free_scratch_mu = Mutex.create ()
+let fresh_table () = Int_table.create 256
 
-  let hash x =
-    let x = x * 0x9E3779B97F4A7C1 in
-    let x = x lxor (x lsr 29) in
-    let x = x * 0xBF58476D1CE4E5 in
-    x lxor (x lsr 32)
-end)
+let take_scratch () =
+  Mutex.lock free_scratch_mu;
+  match !free_scratch with
+  | s :: rest ->
+    free_scratch := rest;
+    Mutex.unlock free_scratch_mu;
+    s
+  | [] ->
+    Mutex.unlock free_scratch_mu;
+    { seen = fresh_table (); gq_edges = fresh_table (); to_gq = fresh_table () }
+
+let release_scratch s =
+  let fit tbl =
+    if Int_table.capacity tbl > scratch_cap then fresh_table ()
+    else begin
+      Int_table.clear tbl;
+      tbl
+    end
+  in
+  let s = { seen = fit s.seen; gq_edges = fit s.gq_edges; to_gq = fit s.to_gq } in
+  Mutex.lock free_scratch_mu;
+  if List.compare_length_with !free_scratch max_free_scratch < 0 then
+    free_scratch := s :: !free_scratch;
+  Mutex.unlock free_scratch_mu
 
 (* Route every lookup through the fetch cache; the closure re-binds the
    underlying iterator per call so the cache can replay it on a miss.
@@ -270,7 +300,7 @@ let anchor_rows (cmat : int array array) anchors =
 let total_tuples (arrays : int array array) =
   Array.fold_left (fun acc a -> Plan.sat_mul acc (Array.length a)) 1 arrays
 
-let run_with ?pool ?cache (src : source) (plan : Plan.t) =
+let run_in sc ?pool ?cache (src : source) (plan : Plan.t) =
   let slots = match pool with None -> 1 | Some p -> Pool.size p in
   (* The caller's cache wraps the source as always.  Worker domains get
      private shards of the same capacity, created on first use under a
@@ -356,11 +386,18 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
              multiset reaching sort_uniq — hence the resulting set — is the
              sequential one. *)
           let hits = Vec.create ~capacity:64 () in
+          (* An empty predicate admits every value, so its hits skip the
+             value read (a page access and a decode on the paged store). *)
           let streamed_of (s : source) hits tuple =
             let streamed = ref 0 in
-            s.lookup_iter f.constr tuple (fun w ->
-                incr streamed;
-                if Predicate.eval pred (s.node_value w) then Vec.push hits w);
+            if pred = Predicate.true_ then
+              s.lookup_iter f.constr tuple (fun w ->
+                  incr streamed;
+                  Vec.push hits w)
+            else
+              s.lookup_iter f.constr tuple (fun w ->
+                  incr streamed;
+                  if Predicate.eval pred (s.node_value w) then Vec.push hits w);
             !streamed
           in
           if f.anchors = [] then begin
@@ -416,11 +453,11 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
      G_Q has one node per distinct graph node.  Membership tests are binary
      probes into the sorted candidate rows. *)
   let edge_lookups = ref 0 and edge_candidates = ref 0 in
-  let gq_edges = Int_tbl.create 256 in
+  let gq_edges = sc.gq_edges in
   List.iter
     (fun (ec : Plan.edge_check) ->
       let u1, u2 = ec.edge in
-      let added_before = Int_tbl.length gq_edges in
+      let added_before = Int_table.length gq_edges in
       let other = if ec.target_side = u1 then u2 else u1 in
       let other_label = Pattern.label q other in
       (* Position of [other]'s component within each tuple. *)
@@ -438,12 +475,10 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
       (* Distinct candidate pairs in first-appearance order (pairs recur
          across tuples; one probe per distinct pair suffices). *)
       let distinct = Vec.create ~capacity:64 () in
-      let seen = Int_tbl.create 64 in
+      let seen = sc.seen in
+      Int_table.clear seen;
       let note packed =
-        if not (Int_tbl.mem seen packed) then begin
-          Int_tbl.replace seen packed ();
-          Vec.push distinct packed
-        end
+        if Int_table.add_if_absent seen packed 0 then Vec.push distinct packed
       in
       (* Pushdown first: the owning shards can run the semijoin — index
          lookup ∩ target row — locally and return only the candidate
@@ -522,44 +557,42 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
             pairs
       in
       Array.iteri
-        (fun i packed -> if verdicts.(i) then Int_tbl.replace gq_edges packed ())
+        (fun i packed -> if verdicts.(i) then Int_table.replace gq_edges packed 0)
         pairs;
       trace :=
         { op = `Edge ec.edge;
           estimate = ec.est;
-          realized = Int_tbl.length gq_edges - added_before;
+          realized = Int_table.length gq_edges - added_before;
           pushed = was_pushed }
         :: !trace)
     plan.edge_checks;
   (* Assemble G_Q.  First-occurrence order over the candidate rows fixes
      the node numbering, exactly as before. *)
-  let to_gq = Int_tbl.create 256 in
-  let order = ref [] and count = ref 0 in
+  let to_gq = sc.to_gq in
+  let order = Vec.create ~capacity:256 () in
   Array.iter
     (Array.iter (fun v ->
-         if not (Int_tbl.mem to_gq v) then begin
-           Int_tbl.replace to_gq v !count;
-           order := v :: !order;
-           incr count
-         end))
+         if Int_table.add_if_absent to_gq v (Vec.length order) then Vec.push order v))
     cmat;
-  let from_gq = Array.of_list (List.rev !order) in
+  let from_gq = Vec.to_array order in
+  let gq_id v = Int_table.find to_gq ~default:(-1) v in
   (* One attribute-warm round over exactly the G_Q nodes: the label and
      value reads below then hit a warm cache instead of one RPC each. *)
   (match src.warm_nodes with
   | Some wn when Array.length from_gq > 0 -> wn from_gq
   | _ -> ());
-  let b = Digraph.Builder.create ~node_hint:!count src.table in
+  let b = Digraph.Builder.create ~node_hint:(Array.length from_gq) src.table in
   Array.iter
     (fun v -> ignore (Digraph.Builder.add_node b (src.node_label v) (src.node_value v)))
     from_gq;
-  Int_tbl.iter
-    (fun packed () ->
+  (* Edge insertion order is free: freeze sorts every CSR row. *)
+  Int_table.iter
+    (fun packed _ ->
       let e_src, e_dst = unpack_edge packed in
-      Digraph.Builder.add_edge b (Int_tbl.find to_gq e_src) (Int_tbl.find to_gq e_dst))
+      Digraph.Builder.add_edge b (gq_id e_src) (gq_id e_dst))
     gq_edges;
   let gq = Digraph.Builder.freeze b in
-  let candidates_gq = Array.map (Array.map (Int_tbl.find to_gq)) cmat in
+  let candidates_gq = Array.map (Array.map gq_id) cmat in
   { gq;
     from_gq;
     candidates_gq;
@@ -569,7 +602,14 @@ let run_with ?pool ?cache (src : source) (plan : Plan.t) =
         fetched = !fetched;
         edge_lookups = !edge_lookups;
         edge_candidates = !edge_candidates;
-        edges_added = Int_tbl.length gq_edges };
+        edges_added = Int_table.length gq_edges };
     trace = List.rev !trace }
+
+(* A run that raises drops its tables instead of recycling them. *)
+let run_with ?pool ?cache src plan =
+  let sc = take_scratch () in
+  let r = run_in sc ?pool ?cache src plan in
+  release_scratch sc;
+  r
 
 let run ?pool ?cache schema plan = run_with ?pool ?cache (source_of_schema schema) plan

@@ -18,6 +18,7 @@ type t = {
   lru : int array Lru.t;
   cids : (Constr.t, int) Hashtbl.t;
   mutable next_cid : int;
+  mutable last : (Constr.t * int) option;  (* the last constraint looked up and its id *)
   mutable hits : int;
   mutable misses : int;
   mutable bypasses : int;
@@ -29,19 +30,30 @@ let create ~capacity () =
   { lru = Lru.create capacity;
     cids = Hashtbl.create 64;
     next_cid = 0;
+    last = None;
     hits = 0;
     misses = 0;
     bypasses = 0 }
 
 let capacity t = Lru.capacity t.lru
 
+(* An operation looks up one constraint for each of its anchor tuples,
+   so the last constraint, recognised by physical equality, spares the
+   structural hash of the [Constr.t] on all but the first lookup. *)
 let constr_id t c =
-  match Hashtbl.find_opt t.cids c with
-  | Some id -> id
-  | None ->
-    let id = t.next_cid in
-    t.next_cid <- id + 1;
-    Hashtbl.replace t.cids c id;
+  match t.last with
+  | Some (c', id) when c' == c -> id
+  | _ ->
+    let id =
+      match Hashtbl.find_opt t.cids c with
+      | Some id -> id
+      | None ->
+        let id = t.next_cid in
+        t.next_cid <- id + 1;
+        Hashtbl.replace t.cids c id;
+        id
+    in
+    t.last <- Some (c, id);
     id
 
 (* -1 when the key does not fit the packed layout. *)

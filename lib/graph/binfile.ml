@@ -65,12 +65,9 @@ let add_string b s =
   Buffer.add_string b s;
   pad8 b
 
-let get_i64 bytes pos =
-  let v = ref 0 in
-  for shift = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get bytes (pos + shift))
-  done;
-  !v
+(* One bounds-checked 8-byte load.  [Int64.to_int] keeps the low 63
+   bits: exactly the int [add_i64] wrote. *)
+let get_i64 bytes pos = Int64.to_int (Bytes.get_int64_le bytes pos)
 
 (* ---------------- writing ---------------- *)
 

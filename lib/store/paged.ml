@@ -40,6 +40,8 @@ type t = {
   mutable prefetched : int;
   readahead : int;  (* pages to prefetch past a sequential miss; 0 = off *)
   mutable next_seq : int;  (* page after the most recent access *)
+  mutable memo_pn : int;  (* the page [memo] holds, or -1; see [page] *)
+  mutable memo : Bytes.t;
   table : Label.table;
   n_nodes : int;
   n_edges : int;
@@ -99,19 +101,46 @@ let prefetch_after t pn =
     end
   done
 
+(* [memo] is the page [page] last returned, kept only while it is the
+   cache's most-recently-used entry: a repeat access — the common case,
+   as a binary search or a bucket scan stays within one page for several
+   reads — then skips the LRU lookup, whose promotion would be a no-op.
+   It counts as a hit like any other.  Whatever else can change the head
+   forgets it: a prefetch, [drop_cache], [close].  At capacity 0 the
+   cache never holds the page, so the memo is never set. *)
+let forget_memo t =
+  t.memo_pn <- -1;
+  t.memo <- Bytes.empty
+
+let remember t pn b =
+  if Lru.capacity t.pages > 0 then begin
+    t.memo_pn <- pn;
+    t.memo <- b
+  end
+
 let page t pn =
   ensure_open t;
   let seq = t.readahead > 0 && pn = t.next_seq in
   t.next_seq <- pn + 1;
-  match Lru.find t.pages pn with
-  | Some b ->
+  if pn = t.memo_pn then begin
     t.hits <- t.hits + 1;
-    b
-  | None ->
-    let b = load_page t pn in
-    Lru.add t.pages pn b;
-    if seq then prefetch_after t pn;
-    b
+    t.memo
+  end
+  else
+    match Lru.find t.pages pn with
+    | Some b ->
+      t.hits <- t.hits + 1;
+      remember t pn b;
+      b
+    | None ->
+      let b = load_page t pn in
+      Lru.add t.pages pn b;
+      if seq then begin
+        forget_memo t;
+        prefetch_after t pn
+      end
+      else remember t pn b;
+      b
 
 (* An aligned i64 never spans a page boundary (the container 8-aligns
    every array element and the page size is a multiple of 8). *)
@@ -136,7 +165,13 @@ let read_bytes t off len =
 
 let with_lock t f =
   Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+  match f () with
+  | v ->
+    Mutex.unlock t.mu;
+    v
+  | exception e ->
+    Mutex.unlock t.mu;
+    raise e
 
 (* ---------------- open ---------------- *)
 
@@ -278,6 +313,8 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
       prefetched = 0;
       readahead;
       next_seq = -1;
+      memo_pn = -1;
+      memo = Bytes.empty;
       table;
       n_nodes = n;
       n_edges = m;
@@ -307,6 +344,7 @@ let close t =
       if not t.closed then begin
         t.closed <- true;
         Lru.clear t.pages;
+        forget_memo t;
         close_in_noerr t.ic
       end)
 
@@ -323,8 +361,12 @@ let node_value t v =
       let lo = read_i64 t (t.voff_off + (8 * v)) in
       let hi = read_i64 t (t.voff_off + (8 * (v + 1))) in
       if lo < 0 || hi < lo || hi > t.blob_len then corrupt "value offsets out of range";
-      let bytes = read_bytes t (t.blob_off + lo) (hi - lo) in
-      Graph_io.decode_value bytes ~pos:0 ~len:(hi - lo))
+      let off = t.blob_off + lo and len = hi - lo in
+      (* A value inside one page decodes in place, with no copy. *)
+      let pn = off / t.page_size in
+      if len > 0 && off + len <= t.file_len && pn = (off + len - 1) / t.page_size then
+        Graph_io.decode_value (page t pn) ~pos:(off mod t.page_size) ~len
+      else Graph_io.decode_value (read_bytes t off len) ~pos:0 ~len)
 
 (* Out-rows are sorted and deduplicated at freeze, so edge membership is
    a binary search over the on-disk row. *)
@@ -464,4 +506,7 @@ let reset_io t =
       t.hits <- 0;
       t.prefetched <- 0)
 
-let drop_cache t = with_lock t (fun () -> Lru.clear t.pages)
+let drop_cache t =
+  with_lock t (fun () ->
+      Lru.clear t.pages;
+      forget_memo t)

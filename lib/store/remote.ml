@@ -254,8 +254,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
                 let lookups = ref 0 and cands = ref 0 in
                 (* Pairs recur across tuples; ship each once (node ids
                    fit 31 bits, so a pair packs into one int key), sorted
-                   so the reply delta-compresses. *)
-                let seen = Hashtbl.create 64 in
+                   so the reply delta-compresses — sort_uniq does both. *)
                 let packed = Vec.create ~capacity:64 () in
                 for ti = 0 to ntuples - 1 do
                   let tuple = Array.sub flat_in (ti * arity) arity in
@@ -264,11 +263,7 @@ let serve ?page_cache_mb ~input ~output shard_file =
                   src.Exec.lookup_iter con tuple (fun w ->
                       if Exec.mem_sorted row w then begin
                         incr cands;
-                        let pk = (v_other lsl 31) lor w in
-                        if not (Hashtbl.mem seen pk) then begin
-                          Hashtbl.replace seen pk ();
-                          Vec.push packed pk
-                        end
+                        Vec.push packed ((v_other lsl 31) lor w)
                       end)
                 done;
                 Vec.sort_uniq packed;

@@ -4,7 +4,7 @@
 
 type 'v t = {
   cap : int;
-  tbl : (int, int) Hashtbl.t;  (* key -> slot *)
+  tbl : Int_table.t;  (* key -> slot *)
   mutable keys : int array;
   mutable vals : 'v option array;
   mutable prev : int array;
@@ -19,7 +19,7 @@ let create cap =
   if cap < 0 then invalid_arg "Lru.create: negative capacity";
   let size = min cap 16 in
   { cap;
-    tbl = Hashtbl.create (max 16 size);
+    tbl = Int_table.create (max 16 size);
     keys = Array.make size 0;
     vals = Array.make size None;
     prev = Array.make size (-1);
@@ -68,21 +68,23 @@ let promote t s =
   end
 
 let find t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> None
-  | Some s ->
+  let s = Int_table.find t.tbl ~default:(-1) k in
+  if s < 0 then None
+  else begin
     promote t s;
     t.vals.(s)
+  end
 
-let mem t k = Hashtbl.mem t.tbl k
+let mem t k = Int_table.mem t.tbl k
 
 let add t k v =
   if t.cap > 0 then
-    match Hashtbl.find_opt t.tbl k with
-    | Some s ->
+    let s = Int_table.find t.tbl ~default:(-1) k in
+    if s >= 0 then begin
       t.vals.(s) <- Some v;
       promote t s
-    | None ->
+    end
+    else begin
       let s =
         if t.len < t.cap then begin
           grow t;
@@ -93,7 +95,7 @@ let add t k v =
         else begin
           (* Full: reuse the least-recently-used slot. *)
           let s = t.tail in
-          Hashtbl.remove t.tbl t.keys.(s);
+          Int_table.remove t.tbl t.keys.(s);
           t.evicted <- t.evicted + 1;
           unlink t s;
           s
@@ -101,11 +103,12 @@ let add t k v =
       in
       t.keys.(s) <- k;
       t.vals.(s) <- Some v;
-      Hashtbl.replace t.tbl k s;
+      Int_table.replace t.tbl k s;
       push_front t s
+    end
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  Int_table.clear t.tbl;
   Array.fill t.vals 0 (Array.length t.vals) None;
   t.head <- -1;
   t.tail <- -1;

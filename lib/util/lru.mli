@@ -2,9 +2,10 @@
 
     The cross-query fetch cache keys index lookups by a single packed
     integer (constraint id + key tuple, see [Bpq_core.Fetch_cache]); this
-    module supplies the replacement policy: a hashtable from key to slot
-    plus an intrusive doubly linked recency list threaded through plain
-    [int] arrays — no per-entry boxing, no dependencies, O(1) find/add.
+    module supplies the replacement policy: an {!Int_table} from key to
+    slot plus an intrusive doubly linked recency list threaded through
+    plain [int] arrays — no per-entry boxing or allocation, O(1)
+    find/add.  Every [int] is a legal key.
 
     Capacity [0] is a legal degenerate cache that stores nothing (every
     {!find} misses, every {!add} is a no-op), so callers can thread one

@@ -209,6 +209,108 @@ let iter_tuples_matches_recursion =
       if List.for_all (fun arr -> Array.length arr > 0) arrays then go [] arrays;
       List.rev !got = List.rev !want)
 
+(* Exec recycles its per-query tables across runs (a mutex-guarded free
+   list), so results must not depend on what ran before, or alongside. *)
+
+let canon (r : Exec.result) =
+  (r.from_gq, r.candidates_g, r.candidates_gq, r.stats, r.trace, Digraph.Repr.of_graph r.gq)
+
+(* A mix of (source, plan) jobs of different G_Q sizes: Q0, the
+   widened-window t0 instance, and random bounded instances. *)
+let exec_jobs () =
+  let ds, _, schema, plan = q0_setup () in
+  let a0 = W.a0 ds.table in
+  let wide =
+    Template.instantiate (W.t0 ds.table) [ ("lo", Value.Int 1900); ("hi", Value.Int 2100) ]
+  in
+  let src = Exec.source_of_schema schema in
+  let randoms =
+    List.filter_map
+      (fun seed ->
+        let _, g, constrs, r = Helpers.random_instance seed in
+        Qplan.generate Actualized.Subgraph (Qgen.from_walk r g) constrs
+        |> Option.map (fun plan -> (Exec.source_of_schema (Schema.build g constrs), plan)))
+      [ 11; 12; 13; 14; 15; 16 ]
+  in
+  Array.of_list
+    ((src, plan) :: (src, Qplan.generate_exn Actualized.Subgraph wide a0) :: randoms)
+
+let test_concurrent_runs_identical () =
+  let jobs = exec_jobs () in
+  let reference = Array.map (fun (src, plan) -> canon (Exec.run_with src plan)) jobs in
+  let rounds = 4 in
+  let n = Array.length jobs in
+  (* Each thread walks the jobs from a different offset, so different
+     G_Q sizes overlap. *)
+  let check_all k =
+    let ok = ref true in
+    for r = 1 to rounds do
+      for i = 0 to n - 1 do
+        let j = (i + r + k) mod n in
+        let src, plan = jobs.(j) in
+        if canon (Exec.run_with src plan) <> reference.(j) then ok := false
+      done
+    done;
+    !ok
+  in
+  let results = Array.make 4 false in
+  let threads = Array.init 4 (fun k -> Thread.create (fun () -> results.(k) <- check_all k) ()) in
+  let pool = Bpq_util.Pool.create 2 in
+  let on_pool =
+    Fun.protect
+      ~finally:(fun () -> Bpq_util.Pool.shutdown pool)
+      (fun () ->
+        Bpq_util.Pool.map_array pool
+          (fun i ->
+            let src, plan = jobs.(i mod n) in
+            canon (Exec.run_with src plan) = reference.(i mod n))
+          (Array.init (rounds * n) Fun.id))
+  in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun k ok -> Helpers.check_true (Printf.sprintf "systhread %d identical" k) ok)
+    results;
+  Helpers.check_true "2-domain pool runs identical" (Array.for_all Fun.id on_pool)
+
+(* A source whose [hook] call number [n] raises, mid-run: in the fetch
+   loop (lookups, value reads), in the edge probes, or in G_Q assembly
+   (label reads).  Runs after it must equal fresh runs. *)
+let test_raising_run_leaves_no_trace () =
+  let jobs = exec_jobs () in
+  let reference = Array.map (fun (src, plan) -> canon (Exec.run_with src plan)) jobs in
+  let failing (src : Exec.source) hook n =
+    let calls = ref 0 in
+    let tick () =
+      incr calls;
+      if !calls = n then raise Exit
+    in
+    match hook with
+    | `Lookup -> { src with lookup_iter = (fun c t f -> tick (); src.lookup_iter c t f) }
+    | `Value -> { src with node_value = (fun v -> tick (); src.node_value v) }
+    | `Probe -> { src with probe_edge = (fun a b -> tick (); src.probe_edge a b) }
+    | `Label -> { src with node_label = (fun v -> tick (); src.node_label v) }
+  in
+  let raised = ref 0 in
+  List.iter
+    (fun hook ->
+      List.iter
+        (fun n ->
+          Array.iteri
+            (fun i (src, plan) ->
+              (match Exec.run_with (failing src hook n) plan with
+               | _ -> ()
+               | exception Exit -> incr raised);
+              Array.iteri
+                (fun j (src, plan) ->
+                  Helpers.check_true
+                    (Printf.sprintf "job %d after a raise in job %d identical" j i)
+                    (canon (Exec.run_with src plan) = reference.(j)))
+                jobs)
+            jobs)
+        [ 1; 3; 50 ])
+    [ `Lookup; `Value; `Probe; `Label ];
+  Helpers.check_true "some runs raised" (!raised > 0)
+
 let suite =
   [ Alcotest.test_case "G_Q is a subgraph" `Quick test_gq_is_subgraph;
     Alcotest.test_case "G_Q within bounds" `Quick test_gq_within_bounds;
@@ -223,4 +325,7 @@ let suite =
     pipeline_soundness_simulation;
     gq_bounds_hold;
     iter_tuples_matches_recursion;
-    Alcotest.test_case "predicate value cap" `Quick test_predicate_value_cap ]
+    Alcotest.test_case "predicate value cap" `Quick test_predicate_value_cap;
+    Alcotest.test_case "concurrent runs identical to sequential" `Quick
+      test_concurrent_runs_identical;
+    Alcotest.test_case "a raising run leaves no trace" `Quick test_raising_run_leaves_no_trace ]

@@ -317,6 +317,80 @@ let test_paged_close () =
       Helpers.check_int "reopen sees the same graph" (Paged.graph_size p2) (Paged.graph_size p);
       Paged.close p2)
 
+(* The page memo (the most recent page, valid while it heads the LRU)
+   must be invisible in the counters and after close. *)
+let test_page_memo () =
+  let schema, plan = q0_setup () in
+  let g = Schema.graph schema in
+  with_temp_file (fun path ->
+      Schema.save schema path;
+      (* After drop_cache, a warm store faults exactly as its first cold
+         run did, at every capacity and with or without readahead. *)
+      List.iter
+        (fun (cache_pages, readahead) ->
+          with_paged ~cache_pages ~readahead path (fun p ->
+              let src = Paged.source p in
+              ignore (Exec.run_with src plan);
+              let cold = Paged.io_counters p in
+              ignore (Exec.run_with src plan);
+              Paged.drop_cache p;
+              Paged.reset_io p;
+              ignore (Exec.run_with src plan);
+              let recold = Paged.io_counters p in
+              let what = Printf.sprintf "(%d pages, readahead %d)" cache_pages readahead in
+              Helpers.check_int ("faults after drop_cache " ^ what) cold.Paged.faults
+                recold.Paged.faults;
+              Helpers.check_int ("hits after drop_cache " ^ what) cold.Paged.hits
+                recold.Paged.hits))
+        [ (1, 0); (1, 8); (3, 0); (64, 0); (64, 8); (65536, 8) ];
+      (* One page of cache, two pages alternating: every access faults. *)
+      let a = 0 and b = Digraph.n_nodes g - 1 in
+      let p = Paged.open_ ~page_size:64 ~cache_pages:1 ~readahead:0 path in
+      Fun.protect
+        ~finally:(fun () -> Paged.close p)
+        (fun () ->
+          let src = Paged.source p in
+          for _ = 1 to 10 do
+            Helpers.check_true "label a" (src.Exec.node_label a = Digraph.label g a);
+            Helpers.check_true "label b" (src.Exec.node_label b = Digraph.label g b)
+          done;
+          let c = Paged.io_counters p in
+          Helpers.check_int "capacity 1 alternating never hits" 0 c.Paged.hits;
+          Helpers.check_int "every access faults" 20 c.Paged.faults);
+      (* Nor across drop_cache, nor past a prefetch that moved the LRU
+         head: with 64-byte pages, nodes v and v + 8 have their labels on
+         consecutive pages.  Reading P, P+1 (sequential: prefetches P+2,
+         evicting P), P+1 again (a hit that must promote it over P+2),
+         then P+3 evicts P+2, so P+1 still hits. *)
+      let p = Paged.open_ ~page_size:64 ~cache_pages:2 ~readahead:1 path in
+      Fun.protect
+        ~finally:(fun () -> Paged.close p)
+        (fun () ->
+          let src = Paged.source p in
+          List.iter (fun v -> ignore (src.Exec.node_label v)) [ 0; 8; 8; 24; 8 ];
+          let c = Paged.io_counters p in
+          Helpers.check_int "prefetch: faults" 3 c.Paged.faults;
+          Helpers.check_int "prefetch: prefetched" 1 c.Paged.prefetched;
+          Helpers.check_int "prefetch: hits" 2 c.Paged.hits;
+          Paged.drop_cache p;
+          Paged.reset_io p;
+          ignore (src.Exec.node_label 8);
+          Helpers.check_int "drop_cache: the last page read faults again" 1
+            (Paged.io_counters p).Paged.faults);
+      (* The memo never outlives close. *)
+      let p = Paged.open_ ~cache_pages:8 path in
+      let src = Paged.source p in
+      ignore (src.Exec.node_label a);
+      ignore (src.Exec.node_label a);
+      Helpers.check_int "repeat read is a hit" 1 (Paged.io_counters p).Paged.hits;
+      Paged.close p;
+      match src.Exec.node_label a with
+      | _ -> Alcotest.fail "read after close should raise"
+      | exception Sys_error msg ->
+        Helpers.check_true "typed closed error"
+          (String.length msg >= String.length path
+          && String.sub msg 0 (String.length path) = path))
+
 let suite =
   [ backends_identical;
     answers_identical;
@@ -329,4 +403,5 @@ let suite =
     Alcotest.test_case "distributed over paged store" `Quick test_distributed_over_paged;
     Alcotest.test_case "batch over paged store" `Quick test_batch_over_paged;
     Alcotest.test_case "unified store handle" `Quick test_store_handle;
-    Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close ]
+    Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close;
+    Alcotest.test_case "page memo: drop_cache, capacity 1, close" `Quick test_page_memo ]

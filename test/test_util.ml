@@ -292,10 +292,21 @@ let test_lru_clear () =
   Lru.add l 5 5;
   Helpers.check_true "usable after clear" (Lru.find l 5 = Some 5)
 
-(* Reference model: most-recent-first association list. *)
+(* Reference model: most-recent-first association list.  Capacities up
+   to 64; keys from a range wider than the capacity (so entries get
+   evicted and re-added), negative keys, and the extreme ints — every
+   int is a legal key, including the one the table marks free slots
+   with. *)
 let lru_model =
   Helpers.qcheck "lru matches a list model"
-    QCheck2.Gen.(pair (int_range 1 6) (list (pair (int_bound 12) bool)))
+    QCheck2.Gen.(
+      int_range 1 64 >>= fun cap ->
+      let key =
+        oneof
+          [ int_range (-(2 * cap) - 4) ((2 * cap) + 4);
+            oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0; -1 ] ]
+      in
+      pair (return cap) (list_size (int_range 0 400) (pair key bool)))
     (fun (cap, ops) ->
       let l = Lru.create cap in
       let model = ref [] in
@@ -325,6 +336,74 @@ let lru_model =
         ops
       && Lru.to_list l = !model
       && Lru.length l = List.length !model)
+
+(* Int_table against Stdlib Hashtbl.  Tables start at the minimum of 8
+   slots and key universes are small, so probe chains form, collide and
+   wrap around the array end, and removals shift entries back across the
+   wrap; the wide universe forces repeated growth.  The extreme ints and
+   0/-1 are always in play, [min_int] being the free-slot marker. *)
+type int_table_op =
+  | Replace of int * int
+  | Add_if_absent of int * int
+  | Remove of int
+  | Find of int
+  | Clear
+
+let int_table_model =
+  Helpers.qcheck ~count:300 "int_table matches Hashtbl"
+    QCheck2.Gen.(
+      oneofl [ 6; 24; 600 ] >>= fun width ->
+      let key =
+        frequency
+          [ (8, int_range (-width) width);
+            (1, oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0; -1 ]) ]
+      in
+      let op =
+        frequency
+          [ (4, map2 (fun k v -> Replace (k, v)) key small_signed_int);
+            (3, map2 (fun k v -> Add_if_absent (k, v)) key small_signed_int);
+            (3, map (fun k -> Remove k) key);
+            (3, map (fun k -> Find k) key);
+            (1, return Clear) ]
+      in
+      list_size (int_range 0 600) op)
+    (fun ops ->
+      let t = Int_table.create 0 in
+      let m : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let bindings () =
+        let l = ref [] in
+        Int_table.iter (fun k v -> l := (k, v) :: !l) t;
+        List.sort compare !l
+      in
+      let model_bindings () = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) m []) in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Replace (k, v) ->
+              Int_table.replace t k v;
+              Hashtbl.replace m k v;
+              true
+            | Add_if_absent (k, v) ->
+              let fresh = not (Hashtbl.mem m k) in
+              if fresh then Hashtbl.replace m k v;
+              Int_table.add_if_absent t k v = fresh
+            | Remove k ->
+              Int_table.remove t k;
+              Hashtbl.remove m k;
+              true
+            | Find k ->
+              Int_table.find t ~default:42 k = Option.value ~default:42 (Hashtbl.find_opt m k)
+              && Int_table.mem t k = Hashtbl.mem m k
+            | Clear ->
+              Int_table.clear t;
+              Hashtbl.reset m;
+              true
+          in
+          ok && Int_table.length t = Hashtbl.length m)
+        ops
+      && bindings () = model_bindings ()
+      && Hashtbl.fold (fun k v ok -> ok && Int_table.find t ~default:(v + 1) k = v) m true)
 
 (* Zero and negative budgets: the deadline must report expiry on its
    very first consultation — a serve daemon admitting a query against an
@@ -740,6 +819,7 @@ let suite =
     Alcotest.test_case "lru capacity zero" `Quick test_lru_capacity_zero;
     Alcotest.test_case "lru clear" `Quick test_lru_clear;
     lru_model;
+    int_table_model;
     Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
     bitset_model;
     bitset_of_array;
