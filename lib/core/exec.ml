@@ -388,16 +388,12 @@ let run_in sc ?pool ?cache (src : source) (plan : Plan.t) =
           let hits = Vec.create ~capacity:64 () in
           (* An empty predicate admits every value, so its hits skip the
              value read (a page access and a decode on the paged store). *)
+          let no_pred = pred = Predicate.true_ in
           let streamed_of (s : source) hits tuple =
             let streamed = ref 0 in
-            if pred = Predicate.true_ then
-              s.lookup_iter f.constr tuple (fun w ->
-                  incr streamed;
-                  Vec.push hits w)
-            else
-              s.lookup_iter f.constr tuple (fun w ->
-                  incr streamed;
-                  if Predicate.eval pred (s.node_value w) then Vec.push hits w);
+            s.lookup_iter f.constr tuple (fun w ->
+                incr streamed;
+                if no_pred || Predicate.eval pred (s.node_value w) then Vec.push hits w);
             !streamed
           in
           if f.anchors = [] then begin

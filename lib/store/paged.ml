@@ -40,8 +40,6 @@ type t = {
   mutable prefetched : int;
   readahead : int;  (* pages to prefetch past a sequential miss; 0 = off *)
   mutable next_seq : int;  (* page after the most recent access *)
-  mutable memo_pn : int;  (* the page [memo] holds, or -1; see [page] *)
-  mutable memo : Bytes.t;
   table : Label.table;
   n_nodes : int;
   n_edges : int;
@@ -101,46 +99,19 @@ let prefetch_after t pn =
     end
   done
 
-(* [memo] is the page [page] last returned, kept only while it is the
-   cache's most-recently-used entry: a repeat access — the common case,
-   as a binary search or a bucket scan stays within one page for several
-   reads — then skips the LRU lookup, whose promotion would be a no-op.
-   It counts as a hit like any other.  Whatever else can change the head
-   forgets it: a prefetch, [drop_cache], [close].  At capacity 0 the
-   cache never holds the page, so the memo is never set. *)
-let forget_memo t =
-  t.memo_pn <- -1;
-  t.memo <- Bytes.empty
-
-let remember t pn b =
-  if Lru.capacity t.pages > 0 then begin
-    t.memo_pn <- pn;
-    t.memo <- b
-  end
-
 let page t pn =
   ensure_open t;
   let seq = t.readahead > 0 && pn = t.next_seq in
   t.next_seq <- pn + 1;
-  if pn = t.memo_pn then begin
+  match Lru.find t.pages pn with
+  | Some b ->
     t.hits <- t.hits + 1;
-    t.memo
-  end
-  else
-    match Lru.find t.pages pn with
-    | Some b ->
-      t.hits <- t.hits + 1;
-      remember t pn b;
-      b
-    | None ->
-      let b = load_page t pn in
-      Lru.add t.pages pn b;
-      if seq then begin
-        forget_memo t;
-        prefetch_after t pn
-      end
-      else remember t pn b;
-      b
+    b
+  | None ->
+    let b = load_page t pn in
+    Lru.add t.pages pn b;
+    if seq then prefetch_after t pn;
+    b
 
 (* An aligned i64 never spans a page boundary (the container 8-aligns
    every array element and the page size is a multiple of 8). *)
@@ -313,8 +284,6 @@ let open_ ?(page_cache_mb = 16) ?cache_pages ?(page_size = page_size) ?(readahea
       prefetched = 0;
       readahead;
       next_seq = -1;
-      memo_pn = -1;
-      memo = Bytes.empty;
       table;
       n_nodes = n;
       n_edges = m;
@@ -344,7 +313,6 @@ let close t =
       if not t.closed then begin
         t.closed <- true;
         Lru.clear t.pages;
-        forget_memo t;
         close_in_noerr t.ic
       end)
 
@@ -506,7 +474,4 @@ let reset_io t =
       t.hits <- 0;
       t.prefetched <- 0)
 
-let drop_cache t =
-  with_lock t (fun () ->
-      Lru.clear t.pages;
-      forget_memo t)
+let drop_cache t = with_lock t (fun () -> Lru.clear t.pages)

@@ -254,8 +254,11 @@ let serve ?page_cache_mb ~input ~output shard_file =
                 let lookups = ref 0 and cands = ref 0 in
                 (* Pairs recur across tuples; ship each once (node ids
                    fit 31 bits, so a pair packs into one int key), sorted
-                   so the reply delta-compresses — sort_uniq does both. *)
-                let packed = Vec.create ~capacity:64 () in
+                   so the reply delta-compresses — sort_uniq does both.
+                   It also runs whenever the vector reaches [limit], so
+                   recurring pairs hold it near twice the distinct count
+                   rather than the candidate count. *)
+                let packed = Vec.create ~capacity:64 () and limit = ref 256 in
                 for ti = 0 to ntuples - 1 do
                   let tuple = Array.sub flat_in (ti * arity) arity in
                   incr lookups;
@@ -263,7 +266,11 @@ let serve ?page_cache_mb ~input ~output shard_file =
                   src.Exec.lookup_iter con tuple (fun w ->
                       if Exec.mem_sorted row w then begin
                         incr cands;
-                        Vec.push packed ((v_other lsl 31) lor w)
+                        Vec.push packed ((v_other lsl 31) lor w);
+                        if Vec.length packed >= !limit then begin
+                          Vec.sort_uniq packed;
+                          limit := max !limit (2 * Vec.length packed)
+                        end
                       end)
                 done;
                 Vec.sort_uniq packed;

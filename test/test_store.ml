@@ -317,9 +317,9 @@ let test_paged_close () =
       Helpers.check_int "reopen sees the same graph" (Paged.graph_size p2) (Paged.graph_size p);
       Paged.close p2)
 
-(* The page memo (the most recent page, valid while it heads the LRU)
-   must be invisible in the counters and after close. *)
-let test_page_memo () =
+(* The page cache's counters across drop_cache and at capacity 1, and
+   a cached page read after close. *)
+let test_page_cache_counters () =
   let schema, plan = q0_setup () in
   let g = Schema.graph schema in
   with_temp_file (fun path ->
@@ -357,27 +357,7 @@ let test_page_memo () =
           let c = Paged.io_counters p in
           Helpers.check_int "capacity 1 alternating never hits" 0 c.Paged.hits;
           Helpers.check_int "every access faults" 20 c.Paged.faults);
-      (* Nor across drop_cache, nor past a prefetch that moved the LRU
-         head: with 64-byte pages, nodes v and v + 8 have their labels on
-         consecutive pages.  Reading P, P+1 (sequential: prefetches P+2,
-         evicting P), P+1 again (a hit that must promote it over P+2),
-         then P+3 evicts P+2, so P+1 still hits. *)
-      let p = Paged.open_ ~page_size:64 ~cache_pages:2 ~readahead:1 path in
-      Fun.protect
-        ~finally:(fun () -> Paged.close p)
-        (fun () ->
-          let src = Paged.source p in
-          List.iter (fun v -> ignore (src.Exec.node_label v)) [ 0; 8; 8; 24; 8 ];
-          let c = Paged.io_counters p in
-          Helpers.check_int "prefetch: faults" 3 c.Paged.faults;
-          Helpers.check_int "prefetch: prefetched" 1 c.Paged.prefetched;
-          Helpers.check_int "prefetch: hits" 2 c.Paged.hits;
-          Paged.drop_cache p;
-          Paged.reset_io p;
-          ignore (src.Exec.node_label 8);
-          Helpers.check_int "drop_cache: the last page read faults again" 1
-            (Paged.io_counters p).Paged.faults);
-      (* The memo never outlives close. *)
+      (* A page still cached at close is not served after it. *)
       let p = Paged.open_ ~cache_pages:8 path in
       let src = Paged.source p in
       ignore (src.Exec.node_label a);
@@ -404,4 +384,5 @@ let suite =
     Alcotest.test_case "batch over paged store" `Quick test_batch_over_paged;
     Alcotest.test_case "unified store handle" `Quick test_store_handle;
     Alcotest.test_case "paged close idempotent, use-after-close typed" `Quick test_paged_close;
-    Alcotest.test_case "page memo: drop_cache, capacity 1, close" `Quick test_page_memo ]
+    Alcotest.test_case "page cache: drop_cache, capacity 1, close" `Quick
+      test_page_cache_counters ]
